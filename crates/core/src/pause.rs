@@ -93,7 +93,7 @@ use lxr_rc::Stamped;
 use lxr_runtime::{Collection, GcReason, GcStats, WorkCounter, WorkerPool};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Below this many in-pause decrements the fan-out overhead is not worth it.
@@ -123,6 +123,18 @@ struct IncItem {
     /// outright.  Unused for root items and recursive child items, whose
     /// slots are produced inside this very pause.
     epoch: u8,
+}
+
+/// One increment-phase participant's private state, on cache lines of its
+/// own: its copy allocator, and the volume of the young objects it retained,
+/// which the pause sums once when the phase ends (the survival predictor's
+/// numerator).  The pool numbers a phase's participants `0..=size()`, one
+/// thread each, so a slot has a single writer; `births_words` is an atomic
+/// only because the phase closure is a shared `Fn`.
+#[repr(align(128))]
+pub(crate) struct IncWorker {
+    copy_alloc: Mutex<ImmixAllocator>,
+    births_words: AtomicUsize,
 }
 
 /// Barrier-sink drains stashed by the early graph's `barrier-drain` bucket
@@ -390,7 +402,7 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     //    land in the abandoned old copy while the relocated copy keeps a
     //    stale pointer to a young object that moves this very pause.)
     lxr_failpoints::failpoint!("pause.increments");
-    let copy_allocators = make_copy_allocators(state, c.workers.size() + 1);
+    let inc_workers = make_inc_workers(state, c.workers.size() + 1);
     let mut items: Vec<IncItem> = Vec::with_capacity(roots.len() + 1024);
     for &root in &roots {
         items.push(IncItem { slot: None, target: root, reset_log: false, epoch: 0 });
@@ -407,13 +419,20 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     }
     {
         let state = state.clone();
-        let copy_allocators = copy_allocators.clone();
+        let inc_workers = inc_workers.clone();
         c.workers.run_phase_labeled("pause: increments", items, move |item, handle| {
-            let copy_alloc = &copy_allocators[handle.worker_id.min(copy_allocators.len() - 1)];
-            process_increment_item(&state, item, copy_alloc, &|slot, child| {
+            let worker = &inc_workers[handle.worker_id];
+            process_increment_item(&state, item, worker, &|slot, child| {
                 handle.push(IncItem { slot: Some(slot), target: child, reset_log: false, epoch: 0 });
             });
         });
+    }
+    // Retiring the copy allocators folds what they copied into the space's
+    // allocation volume before step 10 reads it.
+    let mut births = 0;
+    for worker in inc_workers.iter() {
+        worker.copy_alloc.lock().retire();
+        births += worker.births_words.load(Ordering::Relaxed);
     }
     // Redirect roots that point at evacuated young objects.
     c.roots.visit_roots(|r| *r = state.om.resolve(*r));
@@ -516,7 +535,6 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     //     when a burst ends.
     let allocated =
         state.space.allocated_words().saturating_sub(state.words_at_epoch_start.load(Ordering::Relaxed));
-    let births = state.births_words_epoch.swap(0, Ordering::Relaxed);
     if allocated > 0 {
         let rate = (births as f64 / allocated as f64).min(1.0);
         state.predictors.lock().survival_rate.observe(rate);
@@ -572,13 +590,19 @@ fn apply_decrements_in_pause(
     }
 }
 
-/// Creates one copy allocator per GC worker (plus the controller thread).
-fn make_copy_allocators(state: &Arc<LxrState>, n: usize) -> Arc<Vec<Mutex<ImmixAllocator>>> {
+/// Creates the increment-phase state of each GC worker (plus the controller
+/// thread).
+fn make_inc_workers(state: &Arc<LxrState>, n: usize) -> Arc<Vec<IncWorker>> {
     let occupancy: Arc<dyn LineOccupancy> = state.rc.clone();
     Arc::new(
         (0..n)
-            .map(|_| {
-                Mutex::new(ImmixAllocator::new(state.space.clone(), state.blocks.clone(), occupancy.clone()))
+            .map(|_| IncWorker {
+                copy_alloc: Mutex::new(ImmixAllocator::new(
+                    state.space.clone(),
+                    state.blocks.clone(),
+                    occupancy.clone(),
+                )),
+                births_words: AtomicUsize::new(0),
             })
             .collect(),
     )
@@ -588,7 +612,7 @@ fn make_copy_allocators(state: &Arc<LxrState>, n: usize) -> Arc<Vec<Mutex<ImmixA
 fn process_increment_item(
     state: &Arc<LxrState>,
     item: IncItem,
-    copy_alloc: &Mutex<ImmixAllocator>,
+    worker: &IncWorker,
     push_child: &dyn Fn(Address, ObjectReference),
 ) {
     let (slot, obj) = match item.slot {
@@ -626,7 +650,7 @@ fn process_increment_item(
     if obj.is_null() || !state.in_heap(obj) {
         return;
     }
-    let new = increment_object(state, obj, copy_alloc, push_child);
+    let new = increment_object(state, obj, worker, push_child);
     if let Some(s) = slot {
         if new != obj {
             state.om.write_slot(s, new);
@@ -645,7 +669,7 @@ fn process_increment_item(
 pub(crate) fn increment_object(
     state: &Arc<LxrState>,
     obj: ObjectReference,
-    copy_alloc: &Mutex<ImmixAllocator>,
+    worker: &IncWorker,
     push_child: &dyn Fn(Address, ObjectReference),
 ) -> ObjectReference {
     state.stats.add(WorkCounter::IncrementsApplied, 1);
@@ -678,7 +702,7 @@ pub(crate) fn increment_object(
                 state.rc.increment(obj);
                 return obj;
             }
-            first_retention(state, obj, header, copy_alloc, push_child)
+            first_retention(state, obj, header, worker, push_child)
         }
     }
 }
@@ -690,7 +714,7 @@ fn first_retention(
     state: &Arc<LxrState>,
     obj: ObjectReference,
     header: u64,
-    copy_alloc: &Mutex<ImmixAllocator>,
+    worker: &IncWorker,
     push_child: &dyn Fn(Address, ObjectReference),
 ) -> ObjectReference {
     let shape = state.om.shape_of_header(header);
@@ -714,7 +738,7 @@ fn first_retention(
     // objects are copied, compacting survivors and freeing whole blocks.
     let mut target = obj;
     if state.config.young_evacuation && block_state == BlockState::Young {
-        match copy_alloc.lock().alloc(size) {
+        match worker.copy_alloc.lock().alloc(size) {
             Ok(to) => {
                 target = state.om.install_forwarding(obj, to, header);
                 state.stats.add(WorkCounter::YoungObjectsCopied, 1);
@@ -734,7 +758,7 @@ fn first_retention(
 
     state.rc.increment(target);
     state.stats.add(WorkCounter::YoungSurvivors, 1);
-    state.births_words_epoch.fetch_add(size, Ordering::Relaxed);
+    worker.births_words.fetch_add(size, Ordering::Relaxed);
     if size > state.geometry.words_per_line() {
         state.rc.mark_straddle_lines(target, size);
     }

@@ -63,8 +63,6 @@ pub struct LxrState {
     // ---- epoch state ----
     /// Words allocated when the current mutator epoch began.
     pub words_at_epoch_start: AtomicUsize,
-    /// Survivor volume (words) observed so far in the current pause.
-    pub births_words_epoch: AtomicUsize,
     /// Root referents incremented at the previous pause, to be decremented
     /// at the next pause (root deferral, §2.1).
     pub prev_root_decs: Mutex<Vec<Stamped<ObjectReference>>>,
@@ -220,7 +218,6 @@ impl LxrState {
             geometry,
             space,
             words_at_epoch_start: AtomicUsize::new(0),
-            births_words_epoch: AtomicUsize::new(0),
             prev_root_decs: Mutex::new(Vec::new()),
             young_los: Mutex::new(Vec::new()),
             epochs: AtomicU64::new(0),

@@ -353,3 +353,98 @@ fn large_objects_are_allocated_and_reclaimed() {
     drop(m);
     rt.shutdown();
 }
+
+#[test]
+fn allocation_accounting_is_exact_at_fold_points() {
+    // Allocation counts live in the mutator and the bump region and are
+    // folded into the shared counters at safepoints and on drop.  Two
+    // threads allocate a known mix that takes every accounting path: five
+    // 1000-word objects in a row (four fill a fresh 4096-word block, the
+    // fifth finds 96 words left and overflows), a 3000-word object for the
+    // large object space, then small objects on the bump pointer.  Nothing
+    // is rooted, so no collection copies anything and the heap's volume is
+    // the mutators' alone.
+    const ROUNDS: u64 = 5;
+    const SMALL_PER_ROUND: u64 = 1_000;
+    let rt = runtime(64);
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            let rt = rt.clone();
+            std::thread::spawn(move || {
+                let mut m = rt.bind_mutator();
+                for _ in 0..ROUNDS {
+                    for _ in 0..5 {
+                        m.alloc(0, 999, 2);
+                    }
+                    m.alloc(0, 2999, 3);
+                    for _ in 0..SMALL_PER_ROUND {
+                        m.alloc(1, 2, 1);
+                    }
+                }
+                m.total_allocations()
+            })
+        })
+        .collect();
+    let objects = 2 * ROUNDS * (5 + 1 + SMALL_PER_ROUND);
+    let words = 2 * ROUNDS * (5 * 1000 + 3000 + SMALL_PER_ROUND * 4);
+    let counted_by_handles: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+    assert_eq!(counted_by_handles, objects);
+    let check = |when: &str| {
+        assert_eq!(rt.stats().get(WorkCounter::ObjectsAllocated), objects, "{when}");
+        assert_eq!(rt.stats().get(WorkCounter::WordsAllocated), words, "{when}");
+        assert_eq!(rt.space().allocated_words() as u64, words, "{when}");
+    };
+    check("after the mutators dropped");
+    rt.request_gc_and_wait();
+    check("after a collection");
+    rt.shutdown();
+}
+
+#[test]
+fn allocation_counts_stay_private_until_a_fold() {
+    // The design pin: between fold points allocation writes nothing shared.
+    // Fewer objects than the poll interval (32 here), all inside the first
+    // block, leave both shared counters where they were.
+    let rt = runtime(16);
+    let mut m = rt.bind_mutator();
+    for _ in 0..20 {
+        m.alloc(1, 2, 1);
+    }
+    assert_eq!(m.total_allocations(), 20);
+    assert_eq!(rt.stats().get(WorkCounter::ObjectsAllocated), 0);
+    assert_eq!(rt.stats().get(WorkCounter::WordsAllocated), 0);
+    assert_eq!(rt.space().allocated_words(), 0);
+    m.request_gc();
+    assert_eq!(rt.stats().get(WorkCounter::ObjectsAllocated), 20);
+    assert_eq!(rt.stats().get(WorkCounter::WordsAllocated), 80);
+    assert_eq!(rt.space().allocated_words(), 80);
+    drop(m);
+    rt.shutdown();
+}
+
+#[test]
+fn two_allocating_mutators_are_collected_ahead_of_exhaustion() {
+    // The pacing poll reads an allocation volume that trails each live
+    // allocator by up to one region.  With two threads churning garbage
+    // through a heap six times over, the predictor must still start every
+    // collection before either allocator runs dry.
+    let rt = runtime(16);
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            let rt = rt.clone();
+            std::thread::spawn(move || {
+                let mut m = rt.bind_mutator();
+                for i in 0..500_000u64 {
+                    let o = m.alloc(1, 10, 1);
+                    m.write_data(o, 0, i);
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    assert!(rt.stats().get(WorkCounter::TriggerPredictive) > 0, "{}", rt.stats().work_summary());
+    assert_eq!(rt.stats().get(WorkCounter::TriggerExhaustion), 0, "{}", rt.stats().work_summary());
+    rt.shutdown();
+}

@@ -1083,12 +1083,13 @@ mod tests {
         let e = &comparison.elastic;
         assert!(e.chunks_hi > e.chunks_lo, "footprint never moved: {:?}", e.footprint);
         assert!(e.chunks_released > 0, "idle phases must release cold chunks");
-        assert!(
-            e.trigger_predictive >= e.trigger_exhaustion,
-            "predictive trigger must lead exhaustion ({} vs {})",
-            e.trigger_predictive,
-            e.trigger_exhaustion
-        );
+        // Both spike threads allocate at once, and the trigger reads an
+        // allocation volume that trails each of them by up to one region:
+        // still no allocator may run dry.  (That the predictive trigger
+        // fires at all is pinned where it has margin, in lxr-core's
+        // `two_allocating_mutators_are_collected_ahead_of_exhaustion`: at
+        // this scale it fires only 0-3 times in 13 pauses.)
+        assert_eq!(e.trigger_exhaustion, 0, "an allocator ran dry before a pacing trigger fired");
         // The fixed-extent control maps everything up front and never
         // releases: its footprint series is flat.
         let f = &comparison.fixed;

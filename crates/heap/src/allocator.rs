@@ -26,6 +26,15 @@
 //! runs through.  This is the same argument the vector scan kernels cite
 //! (see `side_metadata`'s module docs).
 //!
+//! Bump allocation writes nothing shared.  The heap-wide allocation volume
+//! ([`HeapSpace::allocated_words`], which pacing triggers read) is *folded*:
+//! an allocator adds `cursor − region_start` when it installs its next
+//! region, is retired (every safepoint park) or is dropped; overflow-block
+//! and large-object allocations add themselves as they happen.  The volume
+//! is exact whenever the world is stopped and after an allocator is gone,
+//! and otherwise trails each live allocator by less than its current region
+//! (at most one block).
+//!
 //! # Reuse epochs
 //!
 //! Installing a recycled free-line run is one of the two ways line-grained
@@ -100,14 +109,14 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Statistics kept by each thread-local allocator, reset each RC epoch.
+/// Statistics kept by each thread-local allocator.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AllocatorStats {
-    /// Clean blocks acquired since the last reset.
+    /// Clean blocks acquired.
     pub clean_blocks_acquired: usize,
-    /// Recycled blocks acquired since the last reset.
+    /// Recycled blocks acquired.
     pub recycled_blocks_acquired: usize,
-    /// Words allocated since the last reset.
+    /// Words allocated: the folded regions plus progress into the current one.
     pub words_allocated: usize,
     /// Number of allocations served from the overflow block.
     pub overflow_allocations: usize,
@@ -137,10 +146,13 @@ pub struct ImmixAllocator {
     blocks: Arc<BlockAllocator>,
     occupancy: Arc<dyn LineOccupancy>,
     geometry: HeapGeometry,
+    large_object_words: usize,
 
+    /// The bump region is `[region_start, limit)`; `cursor − region_start`
+    /// words of it are allocated but not yet folded into the space's volume.
+    region_start: Address,
     cursor: Address,
     limit: Address,
-    current_block: Option<Block>,
 
     /// Recycled block currently being scavenged for free-line runs.
     recycled_block: Option<Block>,
@@ -150,7 +162,6 @@ pub struct ImmixAllocator {
     /// Overflow block for medium objects (dynamic overflow, §3.1).
     overflow_cursor: Address,
     overflow_limit: Address,
-    overflow_block: Option<Block>,
 
     /// When `true`, memory is zeroed immediately before allocation into it.
     zero_on_alloc: bool,
@@ -168,9 +179,7 @@ impl std::fmt::Debug for ImmixAllocator {
         f.debug_struct("ImmixAllocator")
             .field("cursor", &self.cursor)
             .field("limit", &self.limit)
-            .field("current_block", &self.current_block)
             .field("recycled_block", &self.recycled_block)
-            .field("overflow_block", &self.overflow_block)
             .finish_non_exhaustive()
     }
 }
@@ -184,19 +193,20 @@ impl ImmixAllocator {
         occupancy: Arc<dyn LineOccupancy>,
     ) -> Self {
         let geometry = space.geometry();
+        let large_object_words = space.config().large_object_words();
         ImmixAllocator {
             space,
             blocks,
             occupancy,
             geometry,
+            large_object_words,
+            region_start: Address::NULL,
             cursor: Address::NULL,
             limit: Address::NULL,
-            current_block: None,
             recycled_block: None,
             recycled_line_offset: 0,
             overflow_cursor: Address::NULL,
             overflow_limit: Address::NULL,
-            overflow_block: None,
             zero_on_alloc: true,
             use_recycled: true,
             stats: AllocatorStats::default(),
@@ -215,19 +225,10 @@ impl ImmixAllocator {
         self.use_recycled = use_recycled;
     }
 
-    /// The allocator's statistics since the last [`reset_stats`](Self::reset_stats).
+    /// The allocator's statistics since it was created.
     pub fn stats(&self) -> AllocatorStats {
-        self.stats
-    }
-
-    /// Clears the per-epoch statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = AllocatorStats::default();
-    }
-
-    /// The large-object threshold, in words.
-    pub fn large_object_words(&self) -> usize {
-        self.space.config().large_object_words()
+        let unfolded = self.cursor.diff(self.region_start);
+        AllocatorStats { words_allocated: self.stats.words_allocated + unfolded, ..self.stats }
     }
 
     /// Allocates `size_words` words (rounded up to the 16-byte object
@@ -244,17 +245,17 @@ impl ImmixAllocator {
             return Err(AllocError::OutOfMemory);
         }
         let size = size_words.max(MIN_OBJECT_WORDS).next_multiple_of(MIN_OBJECT_WORDS);
-        if size >= self.large_object_words() {
+        if size >= self.large_object_words {
             return Err(AllocError::TooLarge);
         }
-        // Fast path: bump within the current contiguous region.
-        if self.cursor.plus(size) <= self.limit && !self.cursor.is_null() {
+        // Fast path: bump within the current region (a null region fits nothing).
+        if self.cursor.plus(size) <= self.limit {
             return Ok(self.bump(size));
         }
         // Dynamic overflow: a medium object (> one line) that does not fit
         // the current free-line run goes to the overflow block so the
         // remaining free lines are not wasted.
-        if size > self.geometry.words_per_line() && self.limit.diff_or_zero(self.cursor) > 0 {
+        if size > self.geometry.words_per_line() && self.limit > self.cursor {
             return self.alloc_overflow(size);
         }
         self.alloc_slow(size)
@@ -264,9 +265,21 @@ impl ImmixAllocator {
     fn bump(&mut self, size: usize) -> Address {
         let result = self.cursor;
         self.cursor = self.cursor.plus(size);
-        self.space.note_allocation(size);
-        self.stats.words_allocated += size;
         result
+    }
+
+    /// Adds `words` to the space's allocation volume and this allocator's
+    /// own tally: the one shared write of allocation accounting.
+    fn note_allocated(&mut self, words: usize) {
+        self.space.note_allocation(words);
+        self.stats.words_allocated += words;
+    }
+
+    /// Points the bump pointer at `[start, end)`, folding the words bumped
+    /// out of the region it leaves.
+    fn set_region(&mut self, start: Address, end: Address) {
+        self.note_allocated(self.cursor.diff(self.region_start));
+        (self.region_start, self.cursor, self.limit) = (start, start, end);
     }
 
     fn alloc_overflow(&mut self, size: usize) -> Result<Address, AllocError> {
@@ -276,14 +289,12 @@ impl ImmixAllocator {
             if self.zero_on_alloc {
                 self.space.zero_block(block);
             }
-            self.overflow_block = Some(block);
             self.overflow_cursor = self.geometry.block_start(block);
             self.overflow_limit = self.geometry.block_end(block);
         }
         let result = self.overflow_cursor;
         self.overflow_cursor = self.overflow_cursor.plus(size);
-        self.space.note_allocation(size);
-        self.stats.words_allocated += size;
+        self.note_allocated(size);
         self.stats.overflow_allocations += 1;
         Ok(result)
     }
@@ -319,9 +330,7 @@ impl ImmixAllocator {
                 if self.zero_on_alloc {
                     self.space.zero_block(block);
                 }
-                self.current_block = Some(block);
-                self.cursor = self.geometry.block_start(block);
-                self.limit = self.geometry.block_end(block);
+                self.set_region(self.geometry.block_start(block), self.geometry.block_end(block));
                 return Ok(self.bump(size));
             }
             return Err(AllocError::OutOfMemory);
@@ -371,34 +380,25 @@ impl ImmixAllocator {
         if self.zero_on_alloc {
             self.space.zero_range(start, end.diff(start));
         }
-        self.cursor = start;
-        self.limit = end;
+        self.set_region(start, end);
     }
 
     /// Retires the allocator's current regions.  Called at each collection so
     /// the collector sees a consistent heap; the allocator will fetch fresh
     /// blocks on its next allocation.
     pub fn retire(&mut self) {
-        self.cursor = Address::NULL;
-        self.limit = Address::NULL;
-        self.current_block = None;
+        self.set_region(Address::NULL, Address::NULL);
         self.recycled_block = None;
         self.recycled_line_offset = 0;
         self.overflow_cursor = Address::NULL;
         self.overflow_limit = Address::NULL;
-        self.overflow_block = None;
     }
 }
 
-/// Extension used by the fast-path size check; kept private to the crate.
-trait DiffOrZero {
-    fn diff_or_zero(self, other: Address) -> usize;
-}
-
-impl DiffOrZero for Address {
-    #[inline]
-    fn diff_or_zero(self, other: Address) -> usize {
-        self.word_index().saturating_sub(other.word_index())
+impl Drop for ImmixAllocator {
+    /// A copy allocator dropped unretired still accounts for its last region.
+    fn drop(&mut self) {
+        self.set_region(Address::NULL, Address::NULL);
     }
 }
 
@@ -601,23 +601,28 @@ mod tests {
     #[test]
     fn retire_forces_fresh_region() {
         let (space, blocks) = setup(1 << 20);
-        let mut a = ImmixAllocator::new(space, blocks, Arc::new(AllFree));
+        let mut a = ImmixAllocator::new(space.clone(), blocks, Arc::new(AllFree));
         let x = a.alloc(4).unwrap();
+        assert_eq!(space.allocated_words(), 0, "bumping writes nothing shared");
         a.retire();
+        assert_eq!(space.allocated_words(), 4, "retiring folds the region");
         let y = a.alloc(4).unwrap();
         assert_ne!(y.word_index(), x.word_index() + 4, "retire abandons the current region");
+        drop(a);
+        assert_eq!(space.allocated_words(), 8, "so does dropping the allocator");
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate_as_a_view_of_the_unfolded_region() {
         let (space, blocks) = setup(1 << 20);
-        let mut a = ImmixAllocator::new(space, blocks, Arc::new(AllFree));
+        let mut a = ImmixAllocator::new(space.clone(), blocks, Arc::new(AllFree));
         a.alloc(4).unwrap();
         a.alloc(6).unwrap();
         let s = a.stats();
         assert_eq!(s.words_allocated, 4 + 6);
         assert_eq!(s.clean_blocks_acquired, 1);
-        a.reset_stats();
-        assert_eq!(a.stats().words_allocated, 0);
+        assert_eq!(space.allocated_words(), 0);
+        a.retire();
+        assert_eq!(a.stats().words_allocated, 4 + 6, "folding moves the words, it does not recount them");
     }
 }

@@ -41,8 +41,16 @@ pub struct HeapSpace {
     /// currently mapped (see [`crate::pageresource`]).
     chunk_map: ChunkMap,
     /// Words allocated since the space was created (monotonic).
-    allocated_words: AtomicUsize,
+    allocated_words: AllocatedWords,
 }
+
+/// The allocation-volume counter on cache lines of its own: allocators fold
+/// into it (see [`HeapSpace::note_allocation`]), and a fold must not
+/// invalidate the line holding `words`/`geometry` that every heap access
+/// reads.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct AllocatedWords(AtomicUsize);
 
 impl HeapSpace {
     /// Allocates a zeroed arena for `config`.
@@ -59,7 +67,7 @@ impl HeapSpace {
             block_states,
             reuse_epochs,
             chunk_map,
-            allocated_words: AtomicUsize::new(0),
+            allocated_words: AllocatedWords::default(),
         }
     }
 
@@ -126,14 +134,16 @@ impl HeapSpace {
     }
 
     /// Cumulative words handed out by allocators (monotonic; used for
-    /// allocation-volume statistics and triggers).
+    /// allocation-volume statistics and triggers).  Bump allocators report
+    /// a region at a time, so between safepoints the value trails each live
+    /// [`ImmixAllocator`](crate::ImmixAllocator) by less than one region.
     pub fn allocated_words(&self) -> usize {
-        self.allocated_words.load(Ordering::Relaxed)
+        self.allocated_words.0.load(Ordering::Relaxed)
     }
 
     /// Records that `words` words have been handed out.
     pub fn note_allocation(&self, words: usize) {
-        self.allocated_words.fetch_add(words, Ordering::Relaxed);
+        self.allocated_words.0.fetch_add(words, Ordering::Relaxed);
     }
 
     /// Loads the cell at `addr`.

@@ -40,7 +40,11 @@ pub struct Mutator {
     shared: Arc<MutatorShared>,
     plan_mutator: Box<dyn PlanMutator>,
     allocs_since_poll: usize,
-    total_allocations: u64,
+    /// Objects `GcStats` has been told of, then the objects and words it has
+    /// not (see [`fold_allocation_counts`](Self::fold_allocation_counts)).
+    folded_objects: u64,
+    unfolded_objects: u64,
+    unfolded_words: u64,
 }
 
 impl std::fmt::Debug for Mutator {
@@ -58,7 +62,15 @@ impl Mutator {
         shared: Arc<MutatorShared>,
         plan_mutator: Box<dyn PlanMutator>,
     ) -> Self {
-        Mutator { runtime, shared, plan_mutator, allocs_since_poll: 0, total_allocations: 0 }
+        Mutator {
+            runtime,
+            shared,
+            plan_mutator,
+            allocs_since_poll: 0,
+            folded_objects: 0,
+            unfolded_objects: 0,
+            unfolded_words: 0,
+        }
     }
 
     /// This mutator's stable identifier.
@@ -68,7 +80,7 @@ impl Mutator {
 
     /// Total objects allocated through this handle.
     pub fn total_allocations(&self) -> u64 {
-        self.total_allocations
+        self.folded_objects + self.unfolded_objects
     }
 
     // ----- Allocation ------------------------------------------------------
@@ -119,9 +131,8 @@ impl Mutator {
             };
             match result {
                 Ok(obj) => {
-                    self.total_allocations += 1;
-                    self.runtime.stats.add(WorkCounter::ObjectsAllocated, 1);
-                    self.runtime.stats.add(WorkCounter::WordsAllocated, shape.size_words() as u64);
+                    self.unfolded_objects += 1;
+                    self.unfolded_words += shape.size_words() as u64;
                     return obj;
                 }
                 Err(AllocFailure::OutOfMemory) => {
@@ -259,6 +270,7 @@ impl Mutator {
             self.park_for_gc();
             return;
         }
+        self.fold_allocation_counts();
         if let Some(reason) = self.runtime.plan.poll() {
             if self.runtime.gate.enabled() && self.runtime.plan.defer_poll_trigger(reason) {
                 match self.runtime.gate.try_defer(reason) {
@@ -329,8 +341,20 @@ impl Mutator {
         self.park_for_gc();
     }
 
+    /// Publishes this handle's allocation counts to `GcStats`, the only
+    /// shared writes allocation accounting makes: at the allocation poll and
+    /// wherever a collection may proceed without this thread, so the
+    /// counters are exact whenever the world is stopped.
+    fn fold_allocation_counts(&mut self) {
+        let objects = std::mem::take(&mut self.unfolded_objects);
+        self.folded_objects += objects;
+        self.runtime.stats.add(WorkCounter::ObjectsAllocated, objects);
+        self.runtime.stats.add(WorkCounter::WordsAllocated, std::mem::take(&mut self.unfolded_words));
+    }
+
     fn park_for_gc(&mut self) {
         let start = std::time::Instant::now();
+        self.fold_allocation_counts();
         self.plan_mutator.prepare_for_gc();
         self.runtime.rendezvous.safepoint_park();
         self.runtime.stats.add_alloc_stall(start.elapsed());
@@ -368,6 +392,7 @@ impl Mutator {
     /// may proceed without waiting for this thread.  Use around operations
     /// that may wait indefinitely (queues, sockets, sleeps).
     pub fn blocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.fold_allocation_counts();
         self.plan_mutator.prepare_for_gc();
         self.runtime.rendezvous.enter_blocked();
         let result = f();
@@ -378,6 +403,7 @@ impl Mutator {
 
 impl Drop for Mutator {
     fn drop(&mut self) {
+        self.fold_allocation_counts();
         self.plan_mutator.prepare_for_gc();
         self.shared.live.store(false, Ordering::Release);
         // Keep the roots: objects referenced by a completed thread's stack

@@ -9,9 +9,33 @@
 //! the LBO analysis, Figure 7b), and a set of work counters (increments,
 //! decrements, objects copied, blocks freed, …) used for the reclamation
 //! breakdowns.
+//!
+//! # Accounting without contention
+//!
+//! The collector's parallel loops count one item at a time
+//! (`add(IncrementsApplied, 1)` per increment, and likewise per decrement,
+//! death and mark), so a single array of counters would have every GC
+//! worker and the concurrent crew bouncing the same few cache lines.  The
+//! work counters are therefore *striped*: [`GcStats`] holds a fixed number
+//! of cache-line-aligned shards, each a full set of counters, and every
+//! thread sticks to one shard for its lifetime.  [`GcStats::add`] is still
+//! one relaxed `fetch_add`, but on a line no other running thread writes;
+//! the readers ([`GcStats::get`], [`GcStats::snapshot`],
+//! [`GcStats::work_summary`]) sum the shards.  A sum is exact for every
+//! `add` that happened-before the read — in particular for all collector
+//! work once a pause has ended — and, like any relaxed counter, may miss
+//! additions racing with it.
+//!
+//! The two per-object mutator counters (`ObjectsAllocated`,
+//! `WordsAllocated`) are not added per object at all: each
+//! [`Mutator`](crate::Mutator) keeps them in plain fields and folds them in
+//! at its allocation poll, at every safepoint park, on entering a blocked
+//! region and on drop.  They are exact whenever the world is stopped and
+//! after a mutator is dropped; in between they lag a live mutator by fewer
+//! than `poll_interval_allocs` objects.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Why a collection was triggered.
@@ -224,11 +248,30 @@ impl StatsSnapshot {
     }
 }
 
+/// Number of counter shards.  More than the collector threads of any
+/// configuration in the repository (GC workers + controller + crew) plus a
+/// few mutators; threads beyond it share shards, which costs contention,
+/// never correctness.
+const SHARDS: usize = 16;
+
+/// One full set of work counters on cache lines of its own (128 bytes: the
+/// adjacent-line prefetcher pairs 64-byte lines).
+#[derive(Debug)]
+#[repr(align(128))]
+struct CounterShard([AtomicU64; NUM_COUNTERS]);
+
+/// Hands each thread its shard index, round-robin in first-use order.
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+}
+
 /// Shared, thread-safe statistics store.
 #[derive(Debug)]
 pub struct GcStats {
     pauses: Mutex<Vec<PauseRecord>>,
-    counters: [AtomicU64; NUM_COUNTERS],
+    shards: [CounterShard; SHARDS],
     stw_gc_nanos: AtomicU64,
     concurrent_gc_nanos: AtomicU64,
     alloc_stall_nanos: AtomicU64,
@@ -245,7 +288,7 @@ impl GcStats {
     pub fn new() -> Self {
         GcStats {
             pauses: Mutex::new(Vec::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            shards: std::array::from_fn(|_| CounterShard(std::array::from_fn(|_| AtomicU64::new(0)))),
             stw_gc_nanos: AtomicU64::new(0),
             concurrent_gc_nanos: AtomicU64::new(0),
             alloc_stall_nanos: AtomicU64::new(0),
@@ -257,15 +300,16 @@ impl GcStats {
         self.pauses.lock().push(record);
     }
 
-    /// Adds `n` to a work counter.
+    /// Adds `n` to a work counter (in the calling thread's shard).
     #[inline]
     pub fn add(&self, which: WorkCounter, n: u64) {
-        self.counters[which as usize].fetch_add(n, Ordering::Relaxed);
+        let shard = SHARD.with(|s| *s);
+        self.shards[shard].0[which as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Reads a work counter.
+    /// Reads a work counter (the sum over the shards).
     pub fn get(&self, which: WorkCounter) -> u64 {
-        self.counters[which as usize].load(Ordering::Relaxed)
+        self.shards.iter().map(|shard| shard.0[which as usize].load(Ordering::Relaxed)).sum()
     }
 
     /// Accumulates stop-the-world collector busy time.
@@ -293,7 +337,7 @@ impl GcStats {
     pub fn work_summary(&self) -> String {
         let mut parts = vec![format!("pauses={}", self.pause_count())];
         for &c in ALL_COUNTERS {
-            let v = self.counters[c as usize].load(Ordering::Relaxed);
+            let v = self.get(c);
             if v != 0 {
                 parts.push(format!("{c:?}={v}"));
             }
@@ -303,8 +347,7 @@ impl GcStats {
 
     /// Takes a snapshot of everything recorded so far.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let counters =
-            ALL_COUNTERS.iter().map(|c| (*c, self.counters[*c as usize].load(Ordering::Relaxed))).collect();
+        let counters = ALL_COUNTERS.iter().map(|c| (*c, self.get(*c))).collect();
         StatsSnapshot {
             pauses: self.pauses.lock().clone(),
             stw_gc_time: Duration::from_nanos(self.stw_gc_nanos.load(Ordering::Relaxed)),
@@ -382,6 +425,46 @@ mod tests {
         assert_eq!(s.get(WorkCounter::ObjectsMarked), 0);
         let snap = s.snapshot();
         assert_eq!(snap.counter(WorkCounter::IncrementsApplied), 15);
+    }
+
+    #[test]
+    fn striped_counters_sum_exactly_under_contention() {
+        // More threads than shards, so some shards are shared; a barrier
+        // starts every thread's adds together.  Each thread adds to three
+        // distinct counters: one common to all, two picked by its index.
+        const THREADS: usize = SHARDS * 2 + 3;
+        const ADDS: u64 = 10_000;
+        let s = GcStats::new();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..ADDS {
+                        s.add(WorkCounter::IncrementsApplied, 1);
+                        s.add(ALL_COUNTERS[4 + t % 3], 2);
+                        s.add(ALL_COUNTERS[8 + t % 2], t as u64);
+                    }
+                });
+            }
+        });
+        let mut expected = [0u64; NUM_COUNTERS];
+        for t in 0..THREADS {
+            expected[WorkCounter::IncrementsApplied as usize] += ADDS;
+            expected[4 + t % 3] += 2 * ADDS;
+            expected[8 + t % 2] += t as u64 * ADDS;
+        }
+        let snap = s.snapshot();
+        let mut summary = vec!["pauses=0".to_string()];
+        for &c in ALL_COUNTERS {
+            assert_eq!(s.get(c), expected[c as usize], "{c:?}");
+            assert_eq!(snap.counter(c), expected[c as usize], "{c:?}");
+            if expected[c as usize] != 0 {
+                summary.push(format!("{c:?}={}", expected[c as usize]));
+            }
+        }
+        assert_eq!(s.work_summary(), summary.join(" "));
     }
 
     #[test]

@@ -38,6 +38,13 @@ fn main() {
         mutator.write_data(temp, 0, i);
     }
 
+    // The tree is still intact.
+    let tree = mutator.root(root);
+    assert_eq!(mutator.read_data(tree, 0), 1);
+    // Allocation counts are kept in the mutator and folded into the shared
+    // statistics at safepoints and on drop, so read them after the drop.
+    drop(mutator);
+
     let stats = runtime.stats().snapshot();
     println!("LXR quickstart");
     println!("  RC pauses:              {}", stats.pause_count());
@@ -48,10 +55,5 @@ fn main() {
     println!("  young blocks freed:     {}", stats.counter(WorkCounter::YoungBlocksFreed));
     println!("  young objects copied:   {}", stats.counter(WorkCounter::YoungObjectsCopied));
     println!("  pauses starting SATB:   {:.0}%", stats.satb_pause_fraction() * 100.0);
-
-    // The tree is still intact.
-    let tree = mutator.root(root);
-    assert_eq!(mutator.read_data(tree, 0), 1);
-    drop(mutator);
     runtime.shutdown();
 }
