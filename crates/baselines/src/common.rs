@@ -260,13 +260,15 @@ impl TraceState {
         let stats = collection.stats;
         let slots_traced = Arc::new(AtomicUsize::new(0));
         let slots_traced2 = slots_traced.clone();
-        workers.run_phase(seeds, move |slot, handle| {
+        let mut graph = lxr_runtime::BucketGraph::new();
+        let slots = graph.bucket("trace-slots", &[], seeds);
+        workers.run_bucket_graph("pause: trace", graph, move |_bucket, slot, handle| {
             slots_traced2.fetch_add(1, Ordering::Relaxed);
             let obj = shared2.state.om.read_slot(slot);
             if obj.is_null() {
                 return;
             }
-            let new = shared2.visit_object(obj, handle.worker_id, &mut |s| handle.push(s));
+            let new = shared2.visit_object(obj, handle.worker_id, &mut |s| handle.push(slots, s));
             if new != obj {
                 shared2.state.om.write_slot(slot, new);
             }

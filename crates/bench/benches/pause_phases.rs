@@ -1,8 +1,7 @@
 //! Pause-phase parallelism benchmarks: the block sweep, an
-//! increment-shaped transitive workload across schedulers (the lock-free
-//! two-level work-stealing scheduler vs the retained mutexed single-queue
-//! reference), and the concurrent SATB mark across crew sizes (the crew vs
-//! the single-threaded trace oracle).
+//! increment-shaped transitive workload on the bucket scheduler across
+//! worker counts, and the concurrent SATB mark across crew sizes (the crew
+//! vs the single-threaded trace oracle).
 //!
 //! Acceptance targets: parallel `sweep_blocks` ≥ 2× over the sequential
 //! baseline at 4 workers (ISSUE 2); single-worker crew overhead vs the
@@ -84,10 +83,9 @@ fn bench_sweep(c: &mut Criterion) {
 }
 
 /// An increment-phase-shaped workload: a transitive binary tree of work
-/// items, each doing a small amount of "RC work", scheduled through the
-/// lock-free work-stealing scheduler, the mutexed single-queue reference,
-/// or a single-bucket graph (the flat degenerate case of the bucket DAG —
-/// its overhead vs `lockfree` at 1 worker is the ISSUE 7 acceptance bar).
+/// items, each doing a small amount of "RC work", scheduled as a one-bucket
+/// graph (the flat degenerate case of the bucket DAG, the shape of the
+/// pause's increment phase).
 fn bench_scheduler(c: &mut Criterion) {
     const TREE_LIMIT: usize = 4096; // 8191 items per phase
     let mut group = c.benchmark_group("pause_phases/increment_tree_8k");
@@ -96,44 +94,25 @@ fn bench_scheduler(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(150));
 
     for workers in [1usize, 2, 4, 8] {
-        let pool = Arc::new(WorkerPool::new(workers));
-        for scheduler in ["lockfree", "mutexed", "buckets"] {
-            let pool = pool.clone();
-            group.bench_function(&format!("{scheduler}/{workers}w"), move |b| {
-                b.iter(|| {
-                    let count = Arc::new(AtomicUsize::new(0));
-                    let count2 = count.clone();
-                    if scheduler == "buckets" {
-                        let mut graph = lxr_runtime::BucketGraph::new();
-                        let bucket = graph.bucket("increments", &[], vec![1usize]);
-                        pool.run_bucket_graph("bench: increment tree", graph, move |_b, item, handle| {
-                            black_box((item..item + 16).sum::<usize>());
-                            count2.fetch_add(1, Ordering::Relaxed);
-                            if item < TREE_LIMIT {
-                                handle.push(bucket, 2 * item);
-                                handle.push(bucket, 2 * item + 1);
-                            }
-                        });
-                    } else {
-                        let work = move |item: usize, ctx: &lxr_runtime::PhaseHandle<usize>| {
-                            // A granule's worth of "work" per item.
-                            black_box((item..item + 16).sum::<usize>());
-                            count2.fetch_add(1, Ordering::Relaxed);
-                            if item < TREE_LIMIT {
-                                ctx.push(2 * item);
-                                ctx.push(2 * item + 1);
-                            }
-                        };
-                        if scheduler == "mutexed" {
-                            pool.run_phase_mutexed(vec![1usize], work);
-                        } else {
-                            pool.run_phase(vec![1usize], work);
-                        }
+        let pool = WorkerPool::new(workers);
+        group.bench_function(&format!("buckets/{workers}w"), move |b| {
+            b.iter(|| {
+                let count = Arc::new(AtomicUsize::new(0));
+                let count2 = count.clone();
+                let mut graph = lxr_runtime::BucketGraph::new();
+                let bucket = graph.bucket("increments", &[], vec![1usize]);
+                pool.run_bucket_graph("bench: increment tree", graph, move |_b, item, handle| {
+                    // A granule's worth of "work" per item.
+                    black_box((item..item + 16).sum::<usize>());
+                    count2.fetch_add(1, Ordering::Relaxed);
+                    if item < TREE_LIMIT {
+                        handle.push(bucket, 2 * item);
+                        handle.push(bucket, 2 * item + 1);
                     }
-                    assert_eq!(count.load(Ordering::Relaxed), 2 * TREE_LIMIT - 1);
                 });
+                assert_eq!(count.load(Ordering::Relaxed), 2 * TREE_LIMIT - 1);
             });
-        }
+        });
     }
     group.finish();
 }

@@ -51,7 +51,8 @@
 //!
 //! # Why the crew is not on the bucket scheduler
 //!
-//! The pause's phases run on [`WorkerPool::run_bucket_graph`], but the
+//! Every pause phase runs on [`WorkerPool::run_bucket_graph`] (the pool's
+//! only phase entry point; a flat fan-out is a one-bucket graph), but the
 //! crew deliberately keeps its own seed-and-steal loops: a bucket-graph
 //! participant runs its graph to completion, while a crew worker must
 //! flush and yield within one [`YIELD_CHECK_QUANTUM`] of a pause request —
@@ -62,12 +63,16 @@
 //! the pool's phases feed (batched — one counter add per grab/spill, not
 //! per object).
 //!
-//! # Oracles
+//! # The sequential trace
 //!
-//! The single-threaded trace survives as [`trace_satb_sequential`]: the
-//! determinism/mark-set oracle for the crew (the tests assert the crew's
-//! mark set is bit-identical at every crew size) and the `-SATB` ablation's
-//! in-pause trace.
+//! The single-threaded trace, [`trace_satb_sequential`], is both an oracle
+//! and a production path.  It is the determinism/mark-set oracle for the
+//! crew (the tests assert the crew's mark set is bit-identical at every
+//! crew size).  It also runs inside every pause that finds a trace active:
+//! the early graph's `satb-catchup` bucket retires a bounded slice of the
+//! gray set with it, and `satb-finalize` finishes the whole trace with it
+//! on an exhaustion or degenerate pause.  The `-SATB` ablation runs its
+//! in-pause trace through it too.
 
 use crate::state::LxrState;
 use lxr_heap::Block;
@@ -199,7 +204,7 @@ const DEC_OFFLOAD_AT: usize = 512;
 
 /// Splits an oversized local decrement stack off to wherever the caller's
 /// siblings can pick it up (the shared pending queue for the crew, the
-/// phase handle for the work-stealing fan-out).
+/// bucket handle for the pause's work-stealing fan-outs).
 type DecOffload<'a> = &'a dyn Fn(&mut Vec<Stamped<ObjectReference>>);
 
 /// Applies one batch of decrements on a crew worker: recursive decrements
@@ -229,11 +234,11 @@ fn crew_process_decrement_chunk(
 /// This is the *in-pause* catch-up path (§3.2.1: "If the next RC epoch
 /// starts and LXR still has decrements to process, it finishes them
 /// first"): each batch popped off the pending queue is chunked across the
-/// stop-the-world worker pool ([`WorkerPool::run_phase`]); recursive
-/// decrements stay on the processing worker's local stack.  `None` for
-/// `should_yield` means "never yield" (the pause owns the world).  Outside
-/// pauses, decrements are drained by the concurrent crew instead
-/// ([`crew_drain_decrements`]).
+/// stop-the-world worker pool as a one-bucket graph
+/// ([`WorkerPool::run_bucket_graph`]); recursive decrements stay on the
+/// processing worker's local stack.  `None` for `should_yield` means
+/// "never yield" (the pause owns the world).  Outside pauses, decrements
+/// are drained by the concurrent crew instead ([`crew_drain_decrements`]).
 pub(crate) fn drain_pending_decrements(
     state: &Arc<LxrState>,
     workers: Option<&WorkerPool>,
@@ -261,8 +266,15 @@ pub(crate) fn drain_pending_decrements(
                     batch.chunks(chunk_len).map(<[_]>::to_vec).collect();
                 let state = state.clone();
                 let should_yield = should_yield.clone();
-                pool.run_phase(chunks, move |chunk, handle| {
-                    process_decrement_chunk_stealable(&state, chunk, should_yield.as_deref(), handle);
+                let mut graph = lxr_runtime::BucketGraph::new();
+                let decs = graph.bucket("lazy-decs", &[], chunks);
+                pool.run_bucket_graph("pause: lazy-decrement drain", graph, move |_bucket, chunk, handle| {
+                    // An oversized backlog is re-pushed into this bucket,
+                    // where idle pool workers can steal it.
+                    let offload = |local: &mut Vec<Stamped<ObjectReference>>| {
+                        handle.push(decs, local.split_off(local.len() / 2));
+                    };
+                    process_decrement_chunk(&state, chunk, should_yield.as_deref(), Some(&offload));
                 });
                 // Chunks that yielded re-queued their remainders; the check
                 // at the top of the loop notices and reports `false`.
@@ -276,29 +288,15 @@ pub(crate) fn drain_pending_decrements(
     }
 }
 
-/// [`process_decrement_chunk`] for the work-stealing fan-out: the oversized
-/// backlog is re-pushed through the [`PhaseHandle`] where idle pool workers
-/// can steal it.
-///
-/// [`PhaseHandle`]: lxr_runtime::PhaseHandle
-fn process_decrement_chunk_stealable(
-    state: &Arc<LxrState>,
-    chunk: Vec<Stamped<ObjectReference>>,
-    should_yield: Option<&(dyn Fn() -> bool + Send + Sync)>,
-    handle: &lxr_runtime::PhaseHandle<Vec<Stamped<ObjectReference>>>,
-) {
-    let offload = |local: &mut Vec<Stamped<ObjectReference>>| handle.push(local.split_off(local.len() / 2));
-    process_decrement_chunk(state, chunk, should_yield, Some(&offload));
-}
-
-/// The one decrement-chunk engine behind the crew drain, the work-stealing
-/// fan-out and the small-batch fallback: pops from a local stack, follows
-/// recursive decrements on it, and hands an oversized backlog
-/// (≥ [`DEC_OFFLOAD_AT`]) to `offload`, which splits half of the stack off
-/// to wherever the caller's siblings can pick it up.  Checks `should_yield`
-/// up front (a chunk picked up after a pause request goes straight back)
-/// and every [`YIELD_CHECK_QUANTUM`] applications; on yield the unprocessed
-/// remainder returns to the shared pending queue and `false` is returned.
+/// The one decrement-chunk engine behind the crew drain, the pause's
+/// work-stealing fan-outs and its small-batch paths: pops from a local
+/// stack, follows recursive decrements on it, and hands an oversized
+/// backlog (≥ [`DEC_OFFLOAD_AT`]) to `offload`, which splits half of the
+/// stack off to wherever the caller's siblings can pick it up.  Checks
+/// `should_yield` up front (a chunk picked up after a pause request goes
+/// straight back) and every [`YIELD_CHECK_QUANTUM`] applications; on yield
+/// the unprocessed remainder returns to the shared pending queue and
+/// `false` is returned.
 pub(crate) fn process_decrement_chunk(
     state: &Arc<LxrState>,
     chunk: Vec<Stamped<ObjectReference>>,
@@ -429,8 +427,10 @@ fn process_gray_object(
 /// drained.
 ///
 /// This is the determinism oracle for [`trace_satb_crew`] (same mark set,
-/// bit for bit, on a frozen heap) and the `-SATB` ablation's in-pause
-/// trace.  Public for the oracle tests and the `concurrent_mark` benchmark.
+/// bit for bit, on a frozen heap), every pause's bounded `satb-catchup`
+/// slice (and the degenerate pause's unbounded finish), and the `-SATB`
+/// ablation's in-pause trace.  Public for the oracle tests and the
+/// `concurrent_mark` benchmark.
 pub fn trace_satb_sequential(state: &Arc<LxrState>, should_yield: impl Fn() -> bool) -> bool {
     let mut processed_since_check = 0usize;
     while let Some(obj) = state.gray.pop() {

@@ -97,7 +97,9 @@ pub(crate) fn evacuate_mature(state: &Arc<LxrState>, c: &Collection<'_>) {
     {
         let state = state.clone();
         let copy_allocators = copy_allocators.clone();
-        c.workers.run_phase(seed_slots, move |slot, handle| {
+        let mut graph = lxr_runtime::BucketGraph::new();
+        let slots = graph.bucket("evac-slots", &[], seed_slots);
+        c.workers.run_bucket_graph("pause: mature evacuation", graph, move |_bucket, slot, handle| {
             let obj = state.om.read_slot(slot);
             // A stale slot (its line reclaimed and reused since the entry
             // was recorded) can hold arbitrary bits; out-of-heap values are
@@ -115,7 +117,7 @@ pub(crate) fn evacuate_mature(state: &Arc<LxrState>, c: &Collection<'_>) {
                 return;
             }
             let copy_alloc = &copy_allocators[handle.worker_id.min(copy_allocators.len() - 1)];
-            let new = evacuate_object(&state, obj, copy_alloc, &mut |s| handle.push(s));
+            let new = evacuate_object(&state, obj, copy_alloc, &mut |s| handle.push(slots, s));
             state.om.write_slot(slot, new);
         });
     }

@@ -46,12 +46,12 @@
 //!   which the pool applies as they arrive instead of in one
 //!   single-threaded flush; chunks hold disjoint blocks, so release items
 //!   commute.  The young-LOS sweep chunks its candidate list across the
-//!   pool as a flat phase.
+//!   pool as a one-bucket graph.
 //!
-//! The increment phase and the non-lazy decrement phase remain flat
-//! [`run_phase`](lxr_runtime::WorkerPool::run_phase) fan-outs (the
-//! degenerate single-bucket case) and push recursive work through
-//! [`PhaseHandle::push`](lxr_runtime::PhaseHandle::push).
+//! The increment phase and the in-pause decrement phase are one-bucket
+//! graphs too (a flat fan-out is the degenerate graph): they push recursive
+//! work back into their own bucket through
+//! [`BucketHandle::push`](lxr_runtime::BucketHandle::push).
 //!
 //! # Phase-order invariants
 //!
@@ -420,10 +420,12 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     {
         let state = state.clone();
         let inc_workers = inc_workers.clone();
-        c.workers.run_phase_labeled("pause: increments", items, move |item, handle| {
+        let mut graph = lxr_runtime::BucketGraph::new();
+        let incs = graph.bucket("increments", &[], items);
+        c.workers.run_bucket_graph("pause: increments", graph, move |_bucket, item, handle| {
             let worker = &inc_workers[handle.worker_id];
             process_increment_item(&state, item, worker, &|slot, child| {
-                handle.push(IncItem { slot: Some(slot), target: child, reset_log: false, epoch: 0 });
+                handle.push(incs, IncItem { slot: Some(slot), target: child, reset_log: false, epoch: 0 });
             });
         });
     }
@@ -566,8 +568,8 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
 }
 
 /// Applies a batch of decrements (and their recursive cascades) inside the
-/// pause: a work-stealing phase for large batches, a local stack for tiny
-/// ones (not worth a phase's scheduling setup).
+/// pause: a work-stealing phase for large batches, the one decrement-chunk
+/// loop on this thread for tiny ones (not worth a phase's scheduling setup).
 fn apply_decrements_in_pause(
     state: &Arc<LxrState>,
     workers: &WorkerPool,
@@ -577,15 +579,13 @@ fn apply_decrements_in_pause(
         return;
     }
     if decrements.len() < DEC_MIN_PARALLEL_PAUSE {
-        let mut queue = decrements;
-        while let Some(obj) = queue.pop() {
-            let mut push = |child: Stamped<ObjectReference>| queue.push(child);
-            state.apply_decrement(obj, &mut push);
-        }
+        crate::concurrent::process_decrement_chunk(state, decrements, None, None);
     } else {
         let state = state.clone();
-        workers.run_phase_labeled("pause: decrements", decrements, move |obj, handle| {
-            state.apply_decrement(obj, &mut |child| handle.push(child));
+        let mut graph = lxr_runtime::BucketGraph::new();
+        let decs = graph.bucket("decrements", &[], decrements);
+        workers.run_bucket_graph("pause: decrements", graph, move |_bucket, obj, handle| {
+            state.apply_decrement(obj, &mut |child| handle.push(decs, child));
         });
     }
 }
@@ -946,10 +946,11 @@ pub fn sweep_blocks(
     });
 }
 
-/// The sequential reference implementation of the block sweep, retained as
-/// the determinism oracle for [`sweep_blocks`] and as the baseline in the
-/// `pause_phases` benchmark.  Must produce the same block-state, free-list
-/// and reuse-queue outcome as the parallel sweep.
+/// The sequential block sweep: the production path for sweep sets under
+/// 16 blocks (`2 * SWEEP_CHUNK_MIN`, see [`sweep_blocks`]), the determinism
+/// oracle for the parallel sweep, and the baseline in the `pause_phases`
+/// benchmark.  Must produce the same block-state, free-list and
+/// reuse-queue outcome as the parallel sweep.
 pub fn sweep_blocks_sequential(state: &Arc<LxrState>, stats: &GcStats, sweep_set: Vec<(Block, BlockState)>) {
     for (block, prior_state) in sweep_set {
         if prior_state == BlockState::Recycled {
@@ -1007,7 +1008,9 @@ fn sweep_young_los(state: &Arc<LxrState>, workers: &WorkerPool) {
     let chunk_len = young.len().div_ceil(participants * 2).max(LOS_CHUNK_MIN);
     let chunks: Vec<Vec<Address>> = young.chunks(chunk_len).map(<[_]>::to_vec).collect();
     let state = state.clone();
-    workers.run_phase_labeled("pause: young-los sweep", chunks, move |chunk, _handle| {
+    let mut graph = lxr_runtime::BucketGraph::new();
+    graph.bucket("young-los", &[], chunks);
+    workers.run_bucket_graph("pause: young-los sweep", graph, move |_bucket, chunk, _handle| {
         for addr in chunk {
             free_young_los_if_dead(&state, addr);
         }

@@ -8,9 +8,9 @@
 //!
 //! * `pause_phases/sweep_blocks_*` — the block sweep, sequential oracle vs
 //!   the bucket-graph census→release pipeline at 1/2/4/8 workers;
-//! * `pause_phases/increment_tree_*` — the transitive increment tree over
-//!   the lock-free scheduler, the mutexed reference queue, and a
-//!   single-bucket graph (the flat degenerate case of the bucket DAG);
+//! * `pause_phases/increment_tree_*` — the transitive increment tree as a
+//!   one-bucket graph (the flat degenerate case of the bucket DAG, the
+//!   shape of the pause's increment phase) at 1/2/4/8 workers;
 //! * `concurrent_mark/trace_*` — the SATB trace, sequential oracle vs the
 //!   crew at 1/2/4/8 threads;
 //! * `metadata_scan/*` — the side-metadata bulk kernels (scalar reference
@@ -341,57 +341,36 @@ fn bench_increment_tree(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     let group = format!("pause_phases/increment_tree_{items}");
 
     for workers in [1usize, 2, 4, 8] {
-        let pool = Arc::new(WorkerPool::new(workers));
-        for scheduler in ["lockfree", "mutexed", "buckets"] {
-            let one_iter = || {
-                let count = Arc::new(AtomicUsize::new(0));
-                let count2 = count.clone();
-                match scheduler {
-                    "buckets" => {
-                        let mut graph = BucketGraph::new();
-                        let bucket = graph.bucket("increments", &[], vec![1usize]);
-                        pool.run_bucket_graph("bench: increment tree", graph, move |_b, item, handle| {
-                            black_box((item..item + 16).sum::<usize>());
-                            count2.fetch_add(1, Ordering::Relaxed);
-                            if item < limit {
-                                handle.push(bucket, 2 * item);
-                                handle.push(bucket, 2 * item + 1);
-                            }
-                        });
-                    }
-                    kind => {
-                        let work = move |item: usize, ctx: &lxr_runtime::PhaseHandle<usize>| {
-                            black_box((item..item + 16).sum::<usize>());
-                            count2.fetch_add(1, Ordering::Relaxed);
-                            if item < limit {
-                                ctx.push(2 * item);
-                                ctx.push(2 * item + 1);
-                            }
-                        };
-                        if kind == "mutexed" {
-                            pool.run_phase_mutexed(vec![1usize], work);
-                        } else {
-                            pool.run_phase(vec![1usize], work);
-                        }
-                    }
+        let pool = WorkerPool::new(workers);
+        let one_iter = || {
+            let count = Arc::new(AtomicUsize::new(0));
+            let count2 = count.clone();
+            let mut graph = BucketGraph::new();
+            let bucket = graph.bucket("increments", &[], vec![1usize]);
+            pool.run_bucket_graph("bench: increment tree", graph, move |_b, item, handle| {
+                black_box((item..item + 16).sum::<usize>());
+                count2.fetch_add(1, Ordering::Relaxed);
+                if item < limit {
+                    handle.push(bucket, 2 * item);
+                    handle.push(bucket, 2 * item + 1);
                 }
-                assert_eq!(count.load(Ordering::Relaxed), items);
-            };
-            for _ in 0..cfg.warmup {
-                one_iter();
-            }
-            let before = pool.sched_totals();
-            let wall = time_iters(0, cfg.iters, one_iter);
-            let counters = sched_delta(pool.sched_totals(), before);
-            out.push(BenchRecord {
-                id: format!("{group}/{scheduler}/{workers}w"),
-                scheduler,
-                workers,
-                wall_ns: wall,
-                counters,
-                extras: Vec::new(),
             });
+            assert_eq!(count.load(Ordering::Relaxed), items);
+        };
+        for _ in 0..cfg.warmup {
+            one_iter();
         }
+        let before = pool.sched_totals();
+        let wall = time_iters(0, cfg.iters, one_iter);
+        let counters = sched_delta(pool.sched_totals(), before);
+        out.push(BenchRecord {
+            id: format!("{group}/buckets/{workers}w"),
+            scheduler: "buckets",
+            workers,
+            wall_ns: wall,
+            counters,
+            extras: Vec::new(),
+        });
     }
 }
 
@@ -1052,9 +1031,9 @@ mod tests {
     fn snapshot_is_parseable_and_covers_every_group() {
         let (doc, trace_doc, heap_doc) = snapshot(&SnapshotConfig::tiny());
         let parsed = parse_snapshot(&doc);
-        // 5 sweep + 12 tree + 5 mark + 6 metadata + 1 barrier + 2 sticky
+        // 5 sweep + 4 tree + 5 mark + 6 metadata + 1 barrier + 2 sticky
         // configurations.
-        assert_eq!(parsed.len(), 31, "unexpected bench count in:\n{doc}");
+        assert_eq!(parsed.len(), 23, "unexpected bench count in:\n{doc}");
         assert!(parsed.iter().any(|(id, _)| id.contains("sweep_blocks") && id.ends_with("sequential")));
         assert!(parsed.iter().any(|(id, _)| id.contains("buckets/4w")));
         assert!(parsed.iter().any(|(id, _)| id.contains("crew/8w")));

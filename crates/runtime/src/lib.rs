@@ -60,4 +60,4 @@ pub use runtime::{PauseAttrs, Runtime, RuntimeShared};
 pub use stats::{GcReason, GcStats, PauseRecord, StatsSnapshot, WorkCounter};
 pub use verify::VerifyReport;
 pub use watchdog::{run_guarded, Watchdog};
-pub use workers::{BucketGraph, BucketHandle, PhaseHandle, SchedTotals, WorkerPool};
+pub use workers::{BucketGraph, BucketHandle, SchedTotals, WorkerPool};

@@ -1,63 +1,58 @@
-//! The parallel GC worker pool: a two-level work-stealing scheduler.
+//! The parallel GC worker pool: a work-bucket scheduler over two-level work
+//! stealing.
 //!
 //! LXR "employs parallelism for scalability in every collection phase"
-//! (§1, §3.5).  The pool owns a fixed set of persistent worker threads; a
-//! collection phase distributes its seed work items and the workers (plus
-//! the calling thread) drain them, with processing an item free to generate
-//! follow-on items (e.g. recursive decrements or transitive marking).
+//! (§1, §3.5).  The pool owns a fixed set of persistent worker threads, and
+//! [`WorkerPool::run_bucket_graph`] is its one phase entry point: a phase
+//! is a **DAG of work buckets** (the mmtk scheduler's bucket idea) whose
+//! items the workers (plus the calling thread) drain, with processing an
+//! item free to push follow-on items (e.g. recursive decrements or
+//! transitive marking).  A flat phase — seeds plus their transitive
+//! follow-on work — is the degenerate one-bucket graph: the caller declares
+//! one bucket and pushes follow-on work into the id
+//! [`BucketGraph::bucket`] returned.
 //!
 //! # Scheduling
 //!
 //! Work is scheduled at two levels:
 //!
 //! * **Local deques.**  Every participant owns a lock-free Chase–Lev deque
-//!   ([`crossbeam::deque::Worker`]).  [`PhaseHandle::push`] appends to the
-//!   owner's end, and the owner pops from that same end — follow-on work
-//!   runs LIFO on the thread that generated it, which keeps the hot path
-//!   free of shared-memory contention and walks object graphs
-//!   depth-first-ish (good locality for recursive increments/decrements).
-//!   The deques are bounded but growable: they start small and double when
-//!   full, up to a spill threshold beyond which pushes overflow to the
-//!   shared injector — a pathological expansion (one item fanning out into
-//!   millions) is bounded per worker and published where everyone can help.
-//! * **The shared injector.**  Seeds are dealt round-robin into the local
-//!   deques and local overflow spills here; an idle participant first
+//!   ([`crossbeam::deque::Worker`]).  [`BucketHandle::push`] into an open
+//!   bucket appends to the owner's end, and the owner pops from that same
+//!   end — follow-on work runs LIFO on the thread that generated it, which
+//!   keeps the hot path free of shared-memory contention and walks object
+//!   graphs depth-first-ish (good locality for recursive
+//!   increments/decrements).  The deques are bounded but growable: they
+//!   start small and double when full, up to a spill threshold beyond which
+//!   pushes overflow to the bucket's injector — a pathological expansion
+//!   (one item fanning out into millions) is bounded per worker and
+//!   published where everyone can help.
+//! * **Bucket injectors.**  Root-bucket seeds are dealt into the local
+//!   deques in one contiguous run per participant (neighbouring seeds
+//!   usually share cache lines); local overflow, and every item for a
+//!   bucket that has not opened yet, goes to that bucket's lock-free
+//!   segmented [`crossbeam::deque::Injector`].  An idle participant first
 //!   steals FIFO from its siblings' deques (scanning from its own index so
-//!   contention spreads out), then from the lock-free segmented
-//!   [`crossbeam::deque::Injector`].
-//!
-//! Phase termination uses a pending counter: it is incremented before an
-//! item becomes visible and decremented after the item's processing (and
-//! hence all of its pushes) completes, so "all queues observed empty and
-//! the counter is zero" implies the phase is done.
-//!
-//! The previous single-queue scheduler — every push and pop through one
-//! mutexed `VecDeque` — is retained as [`WorkerPool::run_phase_mutexed`]
-//! (backed by `crossbeam::reference::Injector`) and serves as the oracle in
-//! the tests and as the contention baseline in the `pause_phases`
-//! benchmark.
+//!   contention spreads out), then from the injectors of the open buckets.
 //!
 //! # Work buckets
 //!
-//! A flat phase is all-or-nothing: phases with internal dependency
-//! structure (the RC pause's "decrements before deferred release", "SATB
-//! feed before catch-up") had to run as separate back-to-back phases, each
-//! paying a full fork/join barrier even when most of the work was
-//! independent.  [`WorkerPool::run_bucket_graph`] generalises the phase to
-//! a **DAG of work buckets** (the mmtk scheduler's bucket idea): the caller
-//! declares buckets with dependency edges and seed items, and the pool runs
-//! the whole graph as *one* fork/join.
+//! Phases with internal dependency structure (the RC pause's "decrements
+//! before deferred release", "SATB feed before catch-up") run as *one*
+//! fork/join instead of back-to-back phases that each pay a full barrier:
+//! the caller declares buckets with dependency edges and seed items.
 //!
 //! * Bucket ids are declaration-ordered and an edge may only point at an
 //!   earlier bucket, so the graph is **acyclic by construction** — there is
 //!   no run-time cycle detection to get wrong.
-//! * Each bucket keeps the flat phase's pending-counter discipline, so a
-//!   bucket is **drained** exactly when it is open and its counter is zero.
-//!   Exactly one worker wins the drained transition; the winner decrements
-//!   each successor's outstanding-dependency count and opens those that
-//!   reach zero (an empty bucket cascades straight through, bounded by the
-//!   longest dependency chain).  The graph is done when every bucket has
-//!   drained.
+//! * Each bucket keeps a pending counter: it is incremented before an item
+//!   becomes visible and decremented after the item's processing (and
+//!   hence all of its pushes) completes, so a bucket is **drained** exactly
+//!   when it is open and its counter is zero.  Exactly one worker wins the
+//!   drained transition; the winner decrements each successor's
+//!   outstanding-dependency count and opens those that reach zero (an
+//!   empty bucket cascades straight through, bounded by the longest
+//!   dependency chain).  The graph is done when every bucket has drained.
 //! * Items may be pushed into any bucket that has not drained: open-bucket
 //!   pushes land on the pusher's local deque, closed-bucket pushes park in
 //!   the target's injector until it opens.  The drain detection relies on
@@ -75,22 +70,18 @@
 //! bucket-graph participant runs its graph to completion (see
 //! `lxr-core`'s `concurrent` module).
 //!
-//! # Observability and placement
+//! # Observability
 //!
 //! Every participant owns a cache-line-padded counter block
 //! (pushes/pops/steals/parks plus a queue-depth gauge) cheap enough for
 //! release builds; [`WorkerPool::sched_totals`] sums them (the runtime
 //! folds per-collection deltas into `GcStats`) and
 //! [`WorkerPool::phase_snapshot`] renders them per worker, together with
-//! the running phase's open buckets.  Setting `LXR_SCHED_AFFINITY=1`
-//! (or constructing via [`WorkerPool::with_affinity`]) pins worker `i` to
-//! core `i % cores` at spawn via a raw `sched_setaffinity` syscall —
-//! best-effort, no-op off Linux/x86-64.
+//! the running phase's open buckets and their pending-item counts.
 
 use crate::watchdog::Watchdog;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use crossbeam::reference;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -108,7 +99,7 @@ struct WorkerCounters {
     pushes: AtomicU64,
     /// Items this worker popped from its own local deque.
     pops: AtomicU64,
-    /// Items this worker stole from a sibling deque or a shared injector.
+    /// Items this worker stole from a sibling deque or a bucket injector.
     steals: AtomicU64,
     /// Times this worker parked on the phase monitor waiting for work.
     parks: AtomicU64,
@@ -125,7 +116,7 @@ pub struct SchedTotals {
     pub pushes: u64,
     /// Items popped from a local deque by its owner.
     pub pops: u64,
-    /// Items obtained by stealing (sibling deque or shared injector).
+    /// Items obtained by stealing (sibling deque or bucket injector).
     pub steals: u64,
     /// Parking events (a worker found no work and blocked on the monitor).
     pub parks: u64,
@@ -137,21 +128,24 @@ pub struct SchedTotals {
 /// # Example
 ///
 /// ```
-/// use lxr_runtime::workers::WorkerPool;
+/// use lxr_runtime::workers::{BucketGraph, WorkerPool};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 /// use std::sync::Arc;
 ///
 /// let pool = WorkerPool::new(4);
 /// let sum = Arc::new(AtomicUsize::new(0));
 /// let sum2 = sum.clone();
-/// // Sum 1..=100 in parallel, generating follow-on work from each item.
-/// pool.run_phase((1..=100usize).collect(), move |item, ctx| {
+/// // A flat phase is a one-bucket graph: sum 1..=100 in parallel, each
+/// // item n <= 50 pushing n + 100 as follow-on work into the same bucket.
+/// let mut graph = BucketGraph::new();
+/// let bucket = graph.bucket("sum", &[], (1..=100usize).collect());
+/// pool.run_bucket_graph("example", graph, move |_bucket, item, ctx| {
 ///     sum2.fetch_add(item, Ordering::Relaxed);
-///     if item > 100 { return; }
-///     // no follow-on work in this example; ctx.push(...) would add some
-///     let _ = ctx;
+///     if item <= 50 {
+///         ctx.push(bucket, item + 100);
+///     }
 /// });
-/// assert_eq!(sum.load(Ordering::Relaxed), 5050);
+/// assert_eq!(sum.load(Ordering::Relaxed), 5050 + (101..=150).sum::<usize>());
 /// ```
 pub struct WorkerPool {
     senders: Vec<Sender<Job>>,
@@ -166,17 +160,15 @@ pub struct WorkerPool {
     /// Lives on the pool, not the phase, so totals accumulate across a
     /// whole collection cycle.
     counters: Arc<Vec<WorkerCounters>>,
-    /// Whether the worker threads pinned themselves to cores at spawn.
-    affinity: bool,
 }
 
 /// What a state dump can see of a running phase.
 struct PhaseProbe {
     label: &'static str,
-    pending: Arc<AtomicUsize>,
     started: Instant,
-    /// Extra scheduler detail (open buckets) for bucket-graph phases.
-    detail: Option<Box<dyn Fn() -> String + Send>>,
+    /// Renders the phase's bucket state (drained count, open buckets with
+    /// their pending-item counts).
+    detail: Box<dyn Fn() -> String + Send>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -185,107 +177,16 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// The shared queue of a phase: the lock-free injector, or the retained
-/// mutexed reference queue when running the oracle scheduler.
-enum SharedQueue<T> {
-    LockFree(Injector<T>),
-    Mutexed(reference::Injector<T>),
-}
-
-impl<T> SharedQueue<T> {
-    fn push(&self, item: T) {
-        match self {
-            SharedQueue::LockFree(q) => q.push(item),
-            SharedQueue::Mutexed(q) => q.push(item),
-        }
-    }
-
-    fn steal(&self) -> Steal<T> {
-        match self {
-            SharedQueue::LockFree(q) => q.steal(),
-            SharedQueue::Mutexed(q) => q.steal(),
-        }
-    }
-}
-
-/// State shared by every participant of one phase.
-struct PhaseShared<T> {
-    queue: SharedQueue<T>,
-    /// One stealer per participant's local deque (empty in mutexed mode).
-    stealers: Vec<Stealer<T>>,
-    /// Items queued or in flight; the phase ends when this reaches zero.
-    /// Shared with the pool's [`PhaseProbe`] so state dumps can read it.
-    pending: Arc<AtomicUsize>,
-    /// Deadline for this phase (disarmed unless the pool was armed).
-    watchdog: Watchdog,
-    /// When the phase started, for the watchdog and the probe.
-    started: Instant,
-    /// The phase label, for the probe and expiry diagnostics.
-    label: &'static str,
-    /// The pool's per-participant counters (indexed by `worker_id`).
-    counters: Arc<Vec<WorkerCounters>>,
-}
-
-/// Handle given to phase callbacks for pushing follow-on work items.
-pub struct PhaseHandle<T> {
-    /// This participant's local deque (absent in the mutexed oracle
-    /// scheduler, where everything goes through the shared queue).
-    local: Option<Worker<T>>,
-    shared: Arc<PhaseShared<T>>,
-    /// The index of the worker running this callback (the calling thread is
-    /// the last index).
-    pub worker_id: usize,
-}
-
-/// Local-deque length beyond which pushes spill to the shared injector.
+/// Local-deque length beyond which pushes spill to the bucket's injector.
 /// Bounds per-worker deque memory during pathological fan-out (one item
 /// expanding into millions) and publishes the excess where every idle
 /// participant can grab it FIFO.
 const SPILL_THRESHOLD: usize = 4096;
 
-impl<T> PhaseHandle<T> {
-    /// Enqueues a follow-on work item for this phase.
-    ///
-    /// The item lands on this worker's local deque (LIFO), where it is
-    /// processed by this worker unless an idle sibling steals it; once the
-    /// local deque holds `SPILL_THRESHOLD` items, further pushes overflow
-    /// to the shared injector instead.
-    pub fn push(&self, item: T) {
-        self.shared.pending.fetch_add(1, Ordering::Relaxed);
-        let counters = &self.shared.counters[self.worker_id];
-        counters.pushes.fetch_add(1, Ordering::Relaxed);
-        match &self.local {
-            Some(local) if local.len() < SPILL_THRESHOLD => {
-                local.push(item);
-                counters.depth.store(local.len(), Ordering::Relaxed);
-            }
-            _ => {
-                lxr_failpoints::failpoint!("workers.spill");
-                self.shared.queue.push(item);
-            }
-        }
-    }
-}
-
-/// Truthy values accepted by `LXR_SCHED_AFFINITY`.
-fn env_truthy(name: &str) -> bool {
-    std::env::var(name).map(|v| matches!(v.as_str(), "1" | "true" | "on" | "yes")).unwrap_or(false)
-}
-
 impl WorkerPool {
-    /// Spawns `workers` persistent worker threads (at least one).  Workers
-    /// pin themselves to cores when the `LXR_SCHED_AFFINITY` environment
-    /// variable is truthy (`1`/`true`/`on`/`yes`).
+    /// Spawns `workers` persistent worker threads (at least one).
     pub fn new(workers: usize) -> Self {
-        Self::with_affinity(workers, env_truthy("LXR_SCHED_AFFINITY"))
-    }
-
-    /// [`new`](Self::new) with the affinity decision passed explicitly
-    /// (the environment variable is process-global, which races in
-    /// parallel test runs).
-    pub fn with_affinity(workers: usize, affinity: bool) -> Self {
         let workers = workers.max(1);
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let mut senders = Vec::with_capacity(workers);
         let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -295,12 +196,6 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("gc-worker-{i}"))
                     .spawn(move || {
-                        if affinity {
-                            // Best-effort: an unsupported platform or a
-                            // restricted cpuset just leaves the thread
-                            // unpinned.
-                            let _ = pin_current_thread(i % cores);
-                        }
                         while let Ok(job) = rx.recv() {
                             job(i);
                         }
@@ -315,7 +210,6 @@ impl WorkerPool {
             watchdog: Mutex::new(Watchdog::disarmed()),
             probe: Mutex::new(None),
             counters,
-            affinity,
         }
     }
 
@@ -343,24 +237,14 @@ impl WorkerPool {
     }
 
     /// One line describing the pool for watchdog state dumps: thread count,
-    /// affinity mode, the running phase's label/age/pending count (plus its
-    /// open buckets for bucket-graph phases), and per-worker queue-depth and
+    /// the running phase's label, age and open buckets (each with its
+    /// pending-item count), and per-worker queue-depth and
     /// push/pop/steal/park counters.
     pub fn phase_snapshot(&self) -> String {
         let running = match self.probe.try_lock() {
             Ok(guard) => match &*guard {
                 Some(p) => {
-                    let detail = match &p.detail {
-                        Some(f) => format!("; {}", f()),
-                        None => String::new(),
-                    };
-                    format!(
-                        "phase `{}` running for {:?}, pending={}{}",
-                        p.label,
-                        p.started.elapsed(),
-                        p.pending.load(Ordering::Relaxed),
-                        detail
-                    )
+                    format!("phase `{}` running for {:?}; {}", p.label, p.started.elapsed(), (p.detail)())
                 }
                 None => "no phase running".to_string(),
             },
@@ -379,145 +263,13 @@ impl WorkerPool {
                 c.parks.load(Ordering::Relaxed),
             );
         }
-        format!(
-            "workers: {} threads{}; {};{}",
-            self.senders.len(),
-            if self.affinity { " (core-pinned)" } else { "" },
-            running,
-            per_worker
-        )
+        format!("workers: {} threads; {};{}", self.senders.len(), running, per_worker)
     }
 
     /// Number of worker threads (excluding the calling thread, which also
     /// participates in phases).
     pub fn size(&self) -> usize {
         self.senders.len()
-    }
-
-    /// Runs one parallel phase to completion on the work-stealing scheduler.
-    ///
-    /// `seeds` are the initial work items; `process` is invoked once per
-    /// item and may push further items through the [`PhaseHandle`].  The
-    /// calling thread participates alongside the workers.  Returns when the
-    /// queue is empty and every in-flight item has been processed.
-    pub fn run_phase<T, F>(&self, seeds: Vec<T>, process: F)
-    where
-        T: Send + 'static,
-        F: Fn(T, &PhaseHandle<T>) + Send + Sync + 'static,
-    {
-        self.run_phase_impl("phase", seeds, process, false)
-    }
-
-    /// [`run_phase`](Self::run_phase) with a label that appears in watchdog
-    /// state dumps and deadline diagnostics.  Collection phases use this so
-    /// a hang names the phase that wedged.
-    pub fn run_phase_labeled<T, F>(&self, label: &'static str, seeds: Vec<T>, process: F)
-    where
-        T: Send + 'static,
-        F: Fn(T, &PhaseHandle<T>) + Send + Sync + 'static,
-    {
-        self.run_phase_impl(label, seeds, process, false)
-    }
-
-    /// Runs one parallel phase on the retained single-queue scheduler
-    /// (every push and steal through one mutexed queue).
-    ///
-    /// This is the pre-work-stealing design, kept as the oracle for the
-    /// scheduler tests and the baseline for the `pause_phases` benchmark;
-    /// collection phases should use [`run_phase`](Self::run_phase).
-    #[doc(hidden)]
-    pub fn run_phase_mutexed<T, F>(&self, seeds: Vec<T>, process: F)
-    where
-        T: Send + 'static,
-        F: Fn(T, &PhaseHandle<T>) + Send + Sync + 'static,
-    {
-        self.run_phase_impl("phase(mutexed)", seeds, process, true)
-    }
-
-    fn run_phase_impl<T, F>(&self, label: &'static str, seeds: Vec<T>, process: F, mutexed: bool)
-    where
-        T: Send + 'static,
-        F: Fn(T, &PhaseHandle<T>) + Send + Sync + 'static,
-    {
-        let participants = self.senders.len() + 1;
-        let pending = Arc::new(AtomicUsize::new(seeds.len()));
-        let watchdog = self.current_watchdog();
-        let started = Instant::now();
-        let (shared, locals) = if mutexed {
-            let shared = PhaseShared {
-                queue: SharedQueue::Mutexed(reference::Injector::new()),
-                stealers: Vec::new(),
-                pending,
-                watchdog,
-                started,
-                label,
-                counters: Arc::clone(&self.counters),
-            };
-            for s in seeds {
-                shared.queue.push(s);
-            }
-            (Arc::new(shared), Vec::new())
-        } else {
-            let locals: Vec<Worker<T>> = (0..participants).map(|_| Worker::new()).collect();
-            let stealers = locals.iter().map(Worker::stealer).collect();
-            // Deal the seeds round-robin into the local deques so every
-            // participant starts with work and stealing is the exception.
-            for (i, s) in seeds.into_iter().enumerate() {
-                locals[i % participants].push(s);
-            }
-            let shared = PhaseShared {
-                queue: SharedQueue::LockFree(Injector::new()),
-                stealers,
-                pending,
-                watchdog,
-                started,
-                label,
-                counters: Arc::clone(&self.counters),
-            };
-            (Arc::new(shared), locals)
-        };
-        *self.probe.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(PhaseProbe { label, pending: Arc::clone(&shared.pending), started, detail: None });
-
-        let process = Arc::new(process);
-        let (done_tx, done_rx) = unbounded::<()>();
-        // Hand the deques out in creation order so `stealers[worker_id]` is
-        // each participant's *own* deque — the steal rotation below relies
-        // on that to skip itself and reach every sibling.
-        let mut locals = locals.into_iter();
-        for (i, sender) in self.senders.iter().enumerate() {
-            let handle = PhaseHandle { local: locals.next(), shared: Arc::clone(&shared), worker_id: i };
-            let process = Arc::clone(&process);
-            let done_tx = done_tx.clone();
-            let job: Job = Box::new(move |worker_id| {
-                debug_assert_eq!(worker_id, handle.worker_id);
-                drain(&handle, process.as_ref());
-                let _ = done_tx.send(());
-            });
-            sender.send(job).expect("GC worker thread has exited");
-        }
-        // The calling thread participates too (the last deque is its own).
-        let handle =
-            PhaseHandle { local: locals.next(), shared: Arc::clone(&shared), worker_id: participants - 1 };
-        drain(&handle, process.as_ref());
-        // Wait for every worker to finish its drain (under the phase
-        // deadline when armed: a worker wedged inside `process` would
-        // otherwise hang this loop with an empty queue).
-        for _ in 0..self.senders.len() {
-            if shared.watchdog.armed() {
-                loop {
-                    match done_rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(()) => break,
-                        Err(RecvTimeoutError::Timeout) => shared.watchdog.check(shared.label, shared.started),
-                        Err(RecvTimeoutError::Disconnected) => panic!("GC worker thread has exited"),
-                    }
-                }
-            } else {
-                done_rx.recv().expect("GC worker thread has exited");
-            }
-        }
-        *self.probe.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        debug_assert_eq!(shared.pending.load(Ordering::Relaxed), 0);
     }
 
     /// Runs one bucket-graph phase to completion and returns the order in
@@ -545,7 +297,8 @@ impl WorkerPool {
             }
         }
         let locals: Vec<Worker<(usize, T)>> = (0..participants).map(|_| Worker::new()).collect();
-        let mut dealt = 0usize;
+        // The participant that receives the next root bucket's first run.
+        let mut first = 0usize;
         for (id, (spec, succ)) in graph.buckets.into_iter().zip(successors).enumerate() {
             let state = BucketState {
                 label: spec.label,
@@ -557,12 +310,18 @@ impl WorkerPool {
                 successors: succ,
             };
             if spec.deps.is_empty() {
-                // Root-bucket seeds are dealt round-robin into the local
-                // deques so every participant starts with work.
-                for s in spec.seeds {
-                    locals[dealt % participants].push((id, s));
-                    dealt += 1;
+                // Root-bucket seeds are dealt into the local deques in one
+                // contiguous run per participant, so every participant
+                // starts with work.  Neighbouring seeds tend to touch
+                // neighbouring memory (the fields of one object, one
+                // line's side metadata): a run keeps them on one thread
+                // instead of spreading them over threads that would then
+                // contend for the same cache lines.
+                let run = spec.seeds.len().div_ceil(participants);
+                for (i, s) in spec.seeds.into_iter().enumerate() {
+                    locals[(first + i / run) % participants].push((id, s));
                 }
+                first += 1;
             } else {
                 // Non-root seeds wait in the bucket's own injector until it
                 // opens.
@@ -572,10 +331,9 @@ impl WorkerPool {
             }
             states.push(state);
         }
-        let remaining = Arc::new(AtomicUsize::new(states.len()));
         let shared = Arc::new(GraphShared {
+            remaining: AtomicUsize::new(states.len()),
             buckets: states,
-            remaining: Arc::clone(&remaining),
             stealers: locals.iter().map(Worker::stealer).collect(),
             open_log: Mutex::new(Vec::new()),
             parked: AtomicUsize::new(0),
@@ -597,9 +355,8 @@ impl WorkerPool {
         let probe_shared = Arc::clone(&shared);
         *self.probe.lock().unwrap_or_else(|e| e.into_inner()) = Some(PhaseProbe {
             label,
-            pending: remaining,
             started: shared.started,
-            detail: Some(Box::new(move || probe_shared.bucket_summary())),
+            detail: Box::new(move || probe_shared.bucket_summary()),
         });
 
         let process = Arc::new(process);
@@ -638,74 +395,6 @@ impl WorkerPool {
         debug_assert!(shared.buckets.iter().all(|b| b.drained.load(Ordering::Relaxed)));
         let log = std::mem::take(&mut *shared.open_log.lock().unwrap_or_else(|e| e.into_inner()));
         log
-    }
-}
-
-/// One participant's drain loop: local work first, then stealing.
-fn drain<T, F>(handle: &PhaseHandle<T>, process: &F)
-where
-    F: Fn(T, &PhaseHandle<T>),
-{
-    let shared = &*handle.shared;
-    let counters = &shared.counters[handle.worker_id];
-    let siblings = shared.stealers.len();
-    let mut idle_spins = 0u32;
-    'scheduler: loop {
-        // 1. Drain the local deque (LIFO: freshest follow-on work first).
-        if let Some(local) = &handle.local {
-            while let Some(item) = local.pop() {
-                counters.pops.fetch_add(1, Ordering::Relaxed);
-                counters.depth.store(local.len(), Ordering::Relaxed);
-                process(item, handle);
-                shared.pending.fetch_sub(1, Ordering::Release);
-                idle_spins = 0;
-            }
-        }
-        // 2. Steal: siblings first (rotating from our own index), then the
-        //    shared injector.
-        lxr_failpoints::failpoint!("workers.steal");
-        let mut contended = false;
-        for k in 1..siblings {
-            let victim = (handle.worker_id + k) % siblings;
-            match shared.stealers[victim].steal() {
-                Steal::Success(item) => {
-                    counters.steals.fetch_add(1, Ordering::Relaxed);
-                    process(item, handle);
-                    shared.pending.fetch_sub(1, Ordering::Release);
-                    idle_spins = 0;
-                    continue 'scheduler;
-                }
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        match shared.queue.steal() {
-            Steal::Success(item) => {
-                counters.steals.fetch_add(1, Ordering::Relaxed);
-                process(item, handle);
-                shared.pending.fetch_sub(1, Ordering::Release);
-                idle_spins = 0;
-                continue 'scheduler;
-            }
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-        // 3. Nothing found: the phase is over once no items are in flight.
-        if !contended && shared.pending.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        idle_spins += 1;
-        if idle_spins > 64 {
-            // Idle long enough to be off the hot path: check the phase
-            // deadline occasionally (a wedged sibling holds `pending` above
-            // zero forever, and this spin is where everyone else ends up).
-            if idle_spins.is_multiple_of(1024) {
-                shared.watchdog.check(shared.label, shared.started);
-            }
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
     }
 }
 
@@ -820,8 +509,7 @@ struct BucketState<T> {
 struct GraphShared<T> {
     buckets: Vec<BucketState<T>>,
     /// Buckets not yet drained; the phase ends when this reaches zero.
-    /// Shared with the pool's [`PhaseProbe`] so state dumps can read it.
-    remaining: Arc<AtomicUsize>,
+    remaining: AtomicUsize,
     /// One stealer per participant's local deque.
     stealers: Vec<Stealer<(usize, T)>>,
     /// Bucket-opening order, for the determinism tests and diagnostics.
@@ -1067,40 +755,6 @@ where
     }
 }
 
-/// Pins the calling thread to `cpu` via the raw `sched_setaffinity`
-/// syscall (no libc dependency).  Returns whether the kernel accepted the
-/// mask; failure (e.g. a restricted cpuset) leaves the thread unpinned.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_current_thread(cpu: usize) -> bool {
-    // One kernel cpu_set_t's worth of bits (1024 CPUs).
-    let mut mask = [0usize; 1024 / (8 * std::mem::size_of::<usize>())];
-    let word = (cpu / (8 * std::mem::size_of::<usize>())) % mask.len();
-    mask[word] |= 1usize << (cpu % (8 * std::mem::size_of::<usize>()));
-    let ret: isize;
-    // SAFETY: sched_setaffinity(0, size, mask) reads `size` bytes from
-    // `mask` and affects only the calling thread's scheduling; no memory
-    // is written by the kernel.
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 203isize => ret, // __NR_sched_setaffinity
-            in("rdi") 0usize,                 // pid 0 = calling thread
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            out("rcx") _,
-            out("r11") _,
-            options(nostack),
-        );
-    }
-    ret == 0
-}
-
-/// Unsupported platform: affinity requests are accepted but do nothing.
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_current_thread(_cpu: usize) -> bool {
-    false
-}
-
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channels terminates the worker loops.
@@ -1117,12 +771,21 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Mutex;
 
+    /// A one-bucket graph over `seeds` (the flat-phase shape) and the id
+    /// its follow-on work is pushed into.
+    fn flat<T>(seeds: Vec<T>) -> (BucketGraph<T>, usize) {
+        let mut g = BucketGraph::new();
+        let bucket = g.bucket("flat", &[], seeds);
+        (g, bucket)
+    }
+
     #[test]
     fn processes_every_seed_exactly_once() {
         let pool = WorkerPool::new(4);
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
-        pool.run_phase((0..1000usize).collect(), move |item, _| {
+        let (g, _) = flat((0..1000usize).collect());
+        pool.run_bucket_graph("test", g, move |_b, item, _| {
             seen2.lock().unwrap().push(item);
         });
         let mut v = seen.lock().unwrap().clone();
@@ -1138,11 +801,12 @@ mod tests {
         let pool = WorkerPool::new(3);
         let count = Arc::new(AtomicUsize::new(0));
         let count2 = count.clone();
-        pool.run_phase(vec![1usize], move |item, ctx| {
+        let (g, b) = flat(vec![1usize]);
+        pool.run_bucket_graph("test", g, move |_b, item, ctx| {
             count2.fetch_add(1, Ordering::Relaxed);
             if item < 512 {
-                ctx.push(2 * item);
-                ctx.push(2 * item + 1);
+                ctx.push(b, 2 * item);
+                ctx.push(b, 2 * item + 1);
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 1023);
@@ -1151,7 +815,8 @@ mod tests {
     #[test]
     fn empty_phase_returns_immediately() {
         let pool = WorkerPool::new(2);
-        pool.run_phase(Vec::<usize>::new(), |_item, _ctx| panic!("no work expected"));
+        let (g, _) = flat(Vec::<usize>::new());
+        pool.run_bucket_graph("test", g, |_b, _item, _ctx| panic!("no work expected"));
     }
 
     #[test]
@@ -1160,7 +825,8 @@ mod tests {
         for round in 0..5 {
             let sum = Arc::new(AtomicUsize::new(0));
             let sum2 = sum.clone();
-            pool.run_phase((0..100usize).collect(), move |item, _| {
+            let (g, _) = flat((0..100usize).collect());
+            pool.run_bucket_graph("test", g, move |_b, item, _| {
                 sum2.fetch_add(item, Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), 4950, "round {round}");
@@ -1176,7 +842,8 @@ mod tests {
         let pool = WorkerPool::new(4);
         let ids = Arc::new(Mutex::new(HashSet::new()));
         let ids2 = ids.clone();
-        pool.run_phase((0..10_000usize).collect(), move |item, ctx| {
+        let (g, _) = flat((0..10_000usize).collect());
+        pool.run_bucket_graph("test", g, move |_b, item, ctx| {
             let mut guard = ids2.lock().unwrap();
             guard.insert(ctx.worker_id);
             if item == 0 {
@@ -1202,45 +869,16 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         let count2 = count.clone();
         let fanout = SPILL_THRESHOLD * 3; // forces growth *and* injector spill
-        pool.run_phase(vec![0usize; 4], move |item, ctx| {
+        let (g, b) = flat(vec![0usize; 4]);
+        pool.run_bucket_graph("test", g, move |_b, item, ctx| {
             count2.fetch_add(1, Ordering::Relaxed);
             if item == 0 {
                 for _ in 0..fanout {
-                    ctx.push(1);
+                    ctx.push(b, 1);
                 }
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 4 + 4 * fanout);
-    }
-
-    #[test]
-    fn mutexed_reference_scheduler_agrees_with_work_stealing() {
-        // Both schedulers must process the same transitive workload exactly
-        // once; the mutexed single-queue scheduler is the oracle.
-        let pool = WorkerPool::new(2);
-        for &mutexed in &[false, true] {
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            let seen2 = seen.clone();
-            let work = move |item: usize, ctx: &PhaseHandle<usize>| {
-                seen2.lock().unwrap().push(item);
-                if item < 200 {
-                    ctx.push(item * 2 + 1000);
-                }
-            };
-            let seeds: Vec<usize> = (0..64).collect();
-            if mutexed {
-                pool.run_phase_mutexed(seeds, work);
-            } else {
-                pool.run_phase(seeds, work);
-            }
-            let mut v = seen.lock().unwrap().clone();
-            v.sort_unstable();
-            // 64 seeds, each spawning one child >= 1000 (which spawns
-            // nothing): exactly 128 items under either scheduler.
-            assert_eq!(v.len(), 128, "mutexed={mutexed}");
-            v.dedup();
-            assert_eq!(v.len(), 128, "mutexed={mutexed}: duplicates");
-        }
     }
 
     /// Position of bucket `b` in an open log (panics if absent).
@@ -1338,38 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn single_bucket_graph_replays_run_phase() {
-        // Determinism satellite: the same transitive workload through a
-        // one-bucket graph and through the flat scheduler must process the
-        // same item multiset.
-        let pool = WorkerPool::new(2);
-        let work = |item: usize, push: &dyn Fn(usize)| {
-            if item < 300 {
-                push(item * 2 + 1000);
-            }
-        };
-        let flat = Arc::new(Mutex::new(Vec::new()));
-        let flat2 = flat.clone();
-        pool.run_phase((0..64usize).collect(), move |item, ctx| {
-            flat2.lock().unwrap().push(item);
-            work(item, &|i| ctx.push(i));
-        });
-        let bucketed = Arc::new(Mutex::new(Vec::new()));
-        let bucketed2 = bucketed.clone();
-        let mut g = BucketGraph::new();
-        g.bucket("only", &[], (0..64usize).collect());
-        pool.run_bucket_graph("replay", g, move |bucket, item, ctx| {
-            bucketed2.lock().unwrap().push(item);
-            work(item, &|i| ctx.push(bucket, i));
-        });
-        let mut a = flat.lock().unwrap().clone();
-        let mut b = bucketed.lock().unwrap().clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn sched_counters_account_for_every_item() {
         // pops + steals across all participants equals items processed;
         // pushes equals the follow-on items.
@@ -1398,19 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_pool_smoke() {
-        // Core pinning is best-effort; the pool must work either way.
-        let pool = WorkerPool::with_affinity(2, true);
-        let sum = Arc::new(AtomicUsize::new(0));
-        let sum2 = sum.clone();
-        pool.run_phase((0..100usize).collect(), move |item, _| {
-            sum2.fetch_add(item, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 4950);
-        assert!(pool.phase_snapshot().contains("core-pinned"));
-    }
-
-    #[test]
     fn bucket_snapshot_names_open_buckets() {
         // The probe detail surfaces bucket state while a graph runs.
         let pool = WorkerPool::new(2);
@@ -1425,7 +1018,7 @@ mod tests {
         });
         let snap = snap.lock().unwrap();
         assert!(snap.contains("buckets drained="), "snapshot has bucket detail: {snap}");
-        assert!(snap.contains("lazy-decs"), "snapshot names the open bucket: {snap}");
+        assert!(snap.contains("lazy-decs(1)"), "snapshot names the open bucket and its item count: {snap}");
     }
 
     #[test]
@@ -1435,10 +1028,11 @@ mod tests {
         let pool = WorkerPool::new(4);
         let count = Arc::new(AtomicUsize::new(0));
         let count2 = count.clone();
-        pool.run_phase((0..8usize).map(|_| 5000usize).collect(), move |depth, ctx| {
+        let (g, b) = flat((0..8usize).map(|_| 5000usize).collect());
+        pool.run_bucket_graph("test", g, move |_b, depth, ctx| {
             count2.fetch_add(1, Ordering::Relaxed);
             if depth > 0 {
-                ctx.push(depth - 1);
+                ctx.push(b, depth - 1);
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 8 * 5001);

@@ -15,8 +15,8 @@
 //! overflow-pushes into; it is the segmented queue of `crate::seg` with
 //! crossbeam's non-blocking [`Steal`] contract.
 //!
-//! The original mutexed implementations are retained in
-//! [`crate::reference`] as the property-test oracles.
+//! The original mutexed implementations are retained, test-only, in
+//! `crate::reference` as the property-test oracles.
 
 use crate::seg::{PopResult, SegList};
 use std::cell::{Cell, UnsafeCell};

@@ -15,11 +15,10 @@
 //! * [`queue::ArrayQueue`] — a small bounded buffer, still mutexed,
 //! * unbounded [`channel`]s over `std::sync::mpsc`.
 //!
-//! The original mutexed implementations are retained verbatim in
-//! [`mod@reference`] and serve as the property-test oracles (see the tests at
-//! the bottom of this file) and as the baseline scheduler in the
-//! `pause_phases` benchmark.  The previous two-parity pin protocol is
-//! likewise retained (as `epoch_slots`' fallback) and serves as the
+//! The original mutexed implementations are retained in the test-only
+//! `reference` module and serve as the property-test oracles (see the
+//! tests at the bottom of this file).  The previous two-parity pin protocol
+//! is likewise retained (as `epoch_slots`' fallback) and serves as the
 //! reclamation oracle: the differential tests below force it process-wide
 //! and replay the same churn.
 
@@ -31,7 +30,8 @@ mod seg;
 pub mod channel;
 pub mod deque;
 pub mod queue;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

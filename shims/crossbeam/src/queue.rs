@@ -13,9 +13,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 ///
 /// Producers claim slots with a fetch-add, consumers with a CAS; exhausted
 /// segments are recycled through the epoch-lite reclaimer.  The previous
-/// mutexed implementation is retained as
-/// [`reference::SegQueue`](crate::reference::SegQueue) and serves as the
-/// property-test oracle.
+/// mutexed implementation is retained, test-only, as
+/// `reference::SegQueue` and serves as the property-test oracle.
 pub struct SegQueue<T> {
     list: SegList<T>,
 }

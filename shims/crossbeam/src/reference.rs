@@ -3,8 +3,8 @@
 //! These are the original `VecDeque`-behind-a-`Mutex` shims that the
 //! lock-free [`queue`](crate::queue) / [`deque`](crate::deque) types
 //! replaced.  They are trivially correct (one lock serialises everything),
-//! which makes them the semantic model for the property tests and the
-//! baseline for the scheduler benchmarks — do not use them on hot paths.
+//! which makes them the semantic model for the shim's property tests; the
+//! module is compiled only for those tests.
 
 use crate::deque::Steal;
 use std::collections::VecDeque;
@@ -91,16 +91,6 @@ impl<T> Injector<T> {
             },
             Err(std::sync::TryLockError::WouldBlock) => Steal::Retry,
         }
-    }
-
-    /// Returns `true` if the injector is empty.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.inner).is_empty()
-    }
-
-    /// Number of queued elements.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).len()
     }
 }
 
