@@ -196,13 +196,17 @@ fn process_early_item(
             state.finish_block_releases(&deferred);
         }
         EarlyItem::BarrierDrain => {
-            // SAFETY (exclusive-consumer drain): mutators are stopped at
-            // the rendezvous and the pause waited the concurrent crew out,
-            // so the worker running this item — the graph schedules it
-            // exactly once — is the only thread that can pop the barrier
-            // sinks.  Skipping the queue pin/unpin removes two `SeqCst`
-            // RMWs per chunk from the pause's critical path.
+            // Exclusive-consumer drains: mutators are stopped at the
+            // rendezvous and the pause waited the concurrent crew out, so
+            // the worker running this item — the graph schedules it exactly
+            // once — is the only thread that can pop the barrier sinks.
+            // Skipping the queue pin/unpin removes two `SeqCst` RMWs per
+            // chunk from the pause's critical path.
+            //
+            // SAFETY: this item is the sole consumer of the modified-field
+            // sink for the pause (see above).
             let mod_chunks = unsafe { state.sink.modified_fields.drain_exclusive() };
+            // SAFETY: likewise the sole consumer of the decrement sink.
             let dec_chunks = unsafe { state.sink.decrements.drain_exclusive() };
             if satb_running {
                 for chunk in &dec_chunks {

@@ -1,10 +1,10 @@
 //! Machine-readable scheduler benchmark snapshots (`bench-snapshot`) and
 //! regression diffing (`bench-diff`).
 //!
-//! The Criterion benches under `crates/bench` are for interactive tuning;
-//! this module re-runs the same workloads in-process and emits a small,
-//! hand-rolled JSON document (`BENCH_sched.json` by default) that can be
-//! committed next to the code and diffed across PRs:
+//! This is the one definition of the repository's microbenchmarks: it runs
+//! each workload in-process and emits a small, hand-rolled JSON document
+//! (`BENCH_sched.json` by default) that can be committed next to the code
+//! and diffed across PRs:
 //!
 //! * `pause_phases/sweep_blocks_*` — the block sweep, sequential oracle vs
 //!   the bucket-graph census→release pipeline at 1/2/4/8 workers;
@@ -13,8 +13,11 @@
 //!   shape of the pause's increment phase) at 1/2/4/8 workers;
 //! * `concurrent_mark/trace_*` — the SATB trace, sequential oracle vs the
 //!   crew at 1/2/4/8 threads;
-//! * `metadata_scan/*` — the side-metadata bulk kernels (scalar reference
-//!   walk, SWAR, and whatever backend the host dispatches to);
+//! * `metadata_scan/<kernel>/<tier>` — every side-metadata bulk kernel
+//!   (the zero test, the census and sum scans, the hole search on a sparse
+//!   and on a nearly-full table, the set-entry walk, fill+clear and the
+//!   epoch bump) on the scalar reference walk (where one exists), SWAR,
+//!   and whatever backend the host dispatches to;
 //! * `barrier_overhead/*` — the §5.3 barrier-overhead experiment at a
 //!   reduced scale;
 //! * `sticky_trace/*` — a full-heap trace vs a sticky (generational) cycle
@@ -67,9 +70,10 @@ pub const REGRESSION_THRESHOLD: f64 = 0.05;
 /// Workload sizes and repetition counts for one snapshot run.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotConfig {
-    /// Blocks in the sweep set (the Criterion bench uses 512).
+    /// Blocks in the sweep set; also the heap size, in blocks, of the
+    /// metadata-scan tables.
     pub sweep_blocks: usize,
-    /// Blocks in the frozen mark graph (the Criterion bench uses 192).
+    /// Blocks in the frozen mark graph.
     pub mark_blocks: usize,
     /// Tree limit for the increment workload (2 × limit − 1 items).
     pub tree_limit: usize,
@@ -89,8 +93,8 @@ pub struct SnapshotConfig {
 }
 
 impl SnapshotConfig {
-    /// Full-size run mirroring the Criterion bench workloads; this is what
-    /// the committed `BENCH_sched.json` should contain.
+    /// Full-size run; this is what the committed `BENCH_sched.json` should
+    /// contain.
     pub fn full() -> Self {
         Self {
             sweep_blocks: 512,
@@ -238,9 +242,9 @@ fn make_state(heap_bytes: usize) -> Arc<LxrState> {
     make_state_with(heap_bytes, LxrConfig::default())
 }
 
-/// Same occupancy mix as the Criterion bench: half dense blocks (re-marked
-/// Mature by the sweep), half sparse (re-queued, a no-op once queued), so
-/// sweeping the set is repeatable across iterations.
+/// Half dense blocks (re-marked Mature by the sweep), half sparse
+/// (re-queued, a no-op once queued), so sweeping the set is repeatable
+/// across iterations.
 fn build_sweep_set(state: &Arc<LxrState>, blocks: usize) -> Vec<(Block, BlockState)> {
     let g = state.geometry;
     let mut sweep = Vec::with_capacity(blocks);
@@ -262,10 +266,10 @@ fn build_sweep_set(state: &Arc<LxrState>, blocks: usize) -> Vec<(Block, BlockSta
     sweep
 }
 
-/// Same frozen mature graph as the Criterion bench: 8-word objects with
-/// four reference fields wired to pseudo-random targets, laid out in
-/// `blocks` blocks starting at block `first_block`; returns every object
-/// (roots are a `step_by(64)` sample of these).
+/// A frozen mature graph: 8-word objects with four reference fields wired
+/// to pseudo-random targets, laid out in `blocks` blocks starting at block
+/// `first_block`; returns every object (roots are a `step_by(64)` sample of
+/// these).
 fn build_mark_graph(state: &Arc<LxrState>, first_block: usize, blocks: usize) -> Vec<ObjectReference> {
     let g = state.geometry;
     let shape = ObjectShape::new(4, 3, 1);
@@ -443,9 +447,12 @@ fn bench_concurrent_mark(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
 
 fn bench_metadata_scan(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     const BLOCK_WORDS: usize = 4096;
+    /// Words per line: the group size of the census and the granule of the
+    /// epoch table.
+    const LINE_WORDS: usize = 32;
     let heap_words = cfg.sweep_blocks * BLOCK_WORDS;
-    // The same realistic sparse population as the Criterion bench: roughly
-    // 1 in 8 granules live, as after a nursery sweep.
+    // A realistic sparse RC population: roughly 1 in 8 granules live, as
+    // after a nursery sweep.
     let m = SideMetadata::new(heap_words, 2, 2);
     let mut x = 0x9e3779b97f4a7c15u64;
     for g in 0..(heap_words / 2) {
@@ -457,55 +464,115 @@ fn bench_metadata_scan(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
         }
     }
     let zeroed = SideMetadata::new(heap_words, 2, 2);
+    // A nearly-full table with one 16-entry hole per block: the
+    // recycled-line search shape where `find_zero_run` crosses long
+    // occupied stretches (the vector skip's best case).
+    let full = SideMetadata::new(heap_words, 2, 2);
+    full.fill_all(1);
+    for b in 0..heap_words / BLOCK_WORDS {
+        full.clear_range(Address::from_word_index(b * BLOCK_WORDS + (b % 97) * 32 + 600), 16 * 2);
+    }
+    let epochs = SideMetadata::new(heap_words, LINE_WORDS, 8);
     let blocks: Vec<Address> =
         (0..heap_words / BLOCK_WORDS).map(|b| Address::from_word_index(b * BLOCK_WORDS)).collect();
 
-    // Three tiers on every host: the historical per-granule scalar walk,
-    // the portable SWAR kernels, and whatever backend the host actually
-    // dispatches to (equal to SWAR on hosts without a vector unit) — a
-    // fixed record count, so snapshots from different hosts stay diffable.
-    type CountFn = Box<dyn Fn(&SideMetadata, Address) -> usize>;
-    type ZeroFn = Box<dyn Fn(&SideMetadata, Address) -> bool>;
-    let tiers: Vec<(&'static str, CountFn, ZeroFn)> = vec![
+    // Every kernel on three tiers: the historical per-granule scalar walk
+    // (where a scalar model exists), the portable SWAR kernels, and
+    // whatever backend the host actually dispatches to (equal to SWAR on
+    // hosts without a vector unit) — a fixed record count, so snapshots
+    // from different hosts stay diffable.  Each kernel maps one block to a
+    // number so the loop below can sum and `black_box` it.
+    type Scalar<'t> = Option<Box<dyn Fn(Address) -> usize + 't>>;
+    type Kernel<'t> = Box<dyn Fn(SimdBackend, Address) -> usize + 't>;
+    let ops: Vec<(&str, Scalar, Kernel)> = vec![
         (
-            "scalar",
-            Box::new(|t, s| t.scalar_count_nonzero_range(s, BLOCK_WORDS)),
-            Box::new(|t, s| t.scalar_range_is_zero(s, BLOCK_WORDS)),
+            "count_nonzero",
+            Some(Box::new(|s: Address| m.scalar_count_nonzero_range(s, BLOCK_WORDS))),
+            Box::new(|b, s| m.count_nonzero_range_with(b, s, BLOCK_WORDS)),
         ),
         (
-            "swar",
-            Box::new(|t, s| t.count_nonzero_range_with(SimdBackend::Swar, s, BLOCK_WORDS)),
-            Box::new(|t, s| t.range_is_zero_with(SimdBackend::Swar, s, BLOCK_WORDS)),
+            "range_is_zero",
+            Some(Box::new(|s: Address| zeroed.scalar_range_is_zero(s, BLOCK_WORDS) as usize)),
+            Box::new(|b, s| zeroed.range_is_zero_with(b, s, BLOCK_WORDS) as usize),
         ),
         (
-            "dispatched",
-            Box::new(|t, s| t.count_nonzero_range(s, BLOCK_WORDS)),
-            Box::new(|t, s| t.range_is_zero(s, BLOCK_WORDS)),
+            "sum_range",
+            Some(Box::new(|s: Address| m.scalar_sum_range(s, BLOCK_WORDS))),
+            Box::new(|b, s| m.sum_range_with(b, s, BLOCK_WORDS)),
+        ),
+        (
+            "find_zero_run",
+            Some(Box::new(|s: Address| m.scalar_find_zero_run(s, BLOCK_WORDS, 16).is_some() as usize)),
+            Box::new(|b, s| m.find_zero_run_with(b, s, BLOCK_WORDS, 16).is_some() as usize),
+        ),
+        (
+            "find_hole_full",
+            Some(Box::new(|s: Address| full.scalar_find_zero_run(s, BLOCK_WORDS, 16).is_some() as usize)),
+            Box::new(|b, s| full.find_zero_run_with(b, s, BLOCK_WORDS, 16).is_some() as usize),
+        ),
+        ("group_counts", None, Box::new(|b, s| m.group_counts_with(b, s, BLOCK_WORDS, LINE_WORDS).0)),
+        (
+            "for_each_nonzero",
+            Some(Box::new(|s: Address| {
+                let mut n = 0;
+                m.scalar_for_each_nonzero(s, BLOCK_WORDS, |_| n += 1);
+                n
+            })),
+            Box::new(|b, s| {
+                let mut n = 0;
+                m.for_each_nonzero_with(b, s, BLOCK_WORDS, |_| n += 1);
+                n
+            }),
+        ),
+        (
+            "fill_clear",
+            None,
+            Box::new(|b, s| {
+                zeroed.fill_range_with(b, s, BLOCK_WORDS, 1);
+                zeroed.clear_range_with(b, s, BLOCK_WORDS);
+                0
+            }),
+        ),
+        (
+            "bump_range",
+            Some(Box::new(|s: Address| {
+                epochs.scalar_bump_range(s, BLOCK_WORDS);
+                0
+            })),
+            Box::new(|b, s| {
+                epochs.bump_range_with(b, s, BLOCK_WORDS);
+                0
+            }),
         ),
     ];
-    for (name, count, zero) in &tiers {
-        let wall = time_iters(cfg.warmup, cfg.iters, || {
-            black_box(blocks.iter().map(|&s| count(&m, s)).sum::<usize>());
-        });
-        out.push(BenchRecord {
-            id: format!("metadata_scan/count_nonzero/{name}"),
-            scheduler: name,
-            workers: 0,
-            wall_ns: wall,
-            counters: SchedTotals::default(),
-            extras: Vec::new(),
-        });
-        let wall = time_iters(cfg.warmup, cfg.iters, || {
-            black_box(blocks.iter().filter(|&&s| zero(&zeroed, s)).count());
-        });
-        out.push(BenchRecord {
-            id: format!("metadata_scan/range_is_zero/{name}"),
-            scheduler: name,
-            workers: 0,
-            wall_ns: wall,
-            counters: SchedTotals::default(),
-            extras: Vec::new(),
-        });
+    let tiers = [("swar", SimdBackend::Swar), ("dispatched", lxr_heap::active_backend())];
+    for (op, scalar, kernel) in &ops {
+        let mut record = |tier: &'static str, wall_ns| {
+            out.push(BenchRecord {
+                id: format!("metadata_scan/{op}/{tier}"),
+                scheduler: tier,
+                workers: 0,
+                wall_ns,
+                counters: SchedTotals::default(),
+                extras: Vec::new(),
+            })
+        };
+        if let Some(scalar) = scalar {
+            record(
+                "scalar",
+                time_iters(cfg.warmup, cfg.iters, || {
+                    black_box(blocks.iter().map(|&s| scalar(s)).sum::<usize>());
+                }),
+            );
+        }
+        for (tier, backend) in tiers {
+            record(
+                tier,
+                time_iters(cfg.warmup, cfg.iters, || {
+                    black_box(blocks.iter().map(|&s| kernel(backend, s)).sum::<usize>());
+                }),
+            );
+        }
     }
 }
 
@@ -1031,13 +1098,26 @@ mod tests {
     fn snapshot_is_parseable_and_covers_every_group() {
         let (doc, trace_doc, heap_doc) = snapshot(&SnapshotConfig::tiny());
         let parsed = parse_snapshot(&doc);
-        // 5 sweep + 4 tree + 5 mark + 6 metadata + 1 barrier + 2 sticky
-        // configurations.
-        assert_eq!(parsed.len(), 23, "unexpected bench count in:\n{doc}");
+        // 5 sweep + 4 tree + 5 mark + 25 metadata (9 kernels × swar and
+        // dispatched, plus scalar for the 7 with a scalar model) + 1
+        // barrier + 2 sticky configurations.
+        assert_eq!(parsed.len(), 42, "unexpected bench count in:\n{doc}");
         assert!(parsed.iter().any(|(id, _)| id.contains("sweep_blocks") && id.ends_with("sequential")));
         assert!(parsed.iter().any(|(id, _)| id.contains("buckets/4w")));
         assert!(parsed.iter().any(|(id, _)| id.contains("crew/8w")));
-        assert!(parsed.iter().any(|(id, _)| id.contains("metadata_scan/count_nonzero/dispatched")));
+        for id in [
+            "count_nonzero/dispatched",
+            "range_is_zero/scalar",
+            "sum_range/scalar",
+            "find_zero_run/swar",
+            "find_hole_full/swar",
+            "group_counts/dispatched",
+            "for_each_nonzero/scalar",
+            "fill_clear/swar",
+            "bump_range/dispatched",
+        ] {
+            assert!(parsed.iter().any(|(p, _)| *p == format!("metadata_scan/{id}")), "no metadata_scan/{id}");
+        }
         assert!(parsed.iter().any(|(id, _)| id.starts_with("barrier_overhead/")));
         assert!(parsed.iter().any(|(id, _)| id == "sticky_trace/full"));
         assert!(parsed.iter().any(|(id, _)| id == "sticky_trace/sticky_nursery"));

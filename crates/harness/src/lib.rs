@@ -20,8 +20,8 @@
 //! | [`experiments::sensitivity`] | §5.4 (block size, RC bits, buffer entries) |
 //!
 //! Every experiment takes an [`ExperimentOptions`] whose `scale` shrinks the
-//! workloads for quick runs (tests and Criterion benches use small scales;
-//! the CLI defaults to a fuller run).
+//! workloads for quick runs (tests use small scales; the CLI defaults to a
+//! fuller run).
 
 pub mod benchsnap;
 pub mod experiments;

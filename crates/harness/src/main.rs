@@ -22,7 +22,7 @@
 //! with `--features failpoints` for the schedules to fire).  The harness
 //! exits non-zero if any workload reports an integrity failure.
 //!
-//! `bench-snapshot` re-runs the scheduler benchmarks in-process and writes
+//! `bench-snapshot` re-runs the microbenchmarks in-process and writes
 //! a machine-readable JSON snapshot (wall times, work counters, host
 //! fingerprint); `bench-diff` compares two snapshots and exits non-zero if
 //! any bench's median wall time regressed by more than 5%.

@@ -1,6 +1,6 @@
 //! Densely packed per-granule side metadata with runtime-dispatched bulk
-//! kernels: portable word-at-a-time SWAR everywhere, AVX2 / NEON vector
-//! kernels on hardware that has them.
+//! kernels: portable word-at-a-time SWAR everywhere, AVX2 vector kernels
+//! on x86-64 hardware that has them.
 //!
 //! OpenJDK lacks header bits for a reference count, so LXR stores reference
 //! counts — and all of its other per-object metadata (unlogged bits, SATB
@@ -41,27 +41,26 @@
 //!
 //! # Backend dispatch
 //!
-//! Three backends implement the bulk-op surface:
+//! Two backends implement the bulk-op surface:
 //!
 //! * `swar` — the portable word-at-a-time kernels: OR-accumulation for
 //!   zero tests, an OR-fold to each lane's low bit plus a popcount for the
 //!   census, the classic masked lane-add / multiply reduction for sums, and
 //!   a carry-fenced byte add for the epoch bump.  This backend is the
-//!   **universal fallback** and the **oracle** the other backends are
-//!   property-tested against, bit for bit.
+//!   **universal fallback** (the only backend off x86-64) and the
+//!   **oracle** the vector backend is property-tested against, bit for
+//!   bit.
 //! * `x86` — 256-bit AVX2 kernels (`vpcmpeqb`+`vpmovmskb` for zero scans,
 //!   `vpshufb` nibble LUTs for lane censuses, `vpsadbw` for sums), compiled
 //!   unconditionally on x86-64 but *selected* only when
 //!   `is_x86_feature_detected!("avx2")` reports the feature at runtime.
-//! * `neon` — 128-bit NEON kernels, compile-time gated on aarch64 (NEON
-//!   is a baseline feature of AArch64, so no runtime probe is needed).
 //!
 //! Selection happens **once per process**: the first bulk call consults a
 //! `OnceLock`-cached [`SimdBackend`] chosen by [`select_backend`] from the
 //! hardware probe and the `LXR_METADATA_SIMD` environment variable
 //! (`swar`/`off` forces the fallback — CI uses this to keep the SWAR path
-//! covered on SIMD hosts; `avx2`/`neon` requests a specific backend and
-//! falls back to SWAR if the hardware lacks it; `auto`/unset probes).  No
+//! covered on SIMD hosts; `avx2` requests the vector backend and falls
+//! back to SWAR if the hardware lacks it; `auto`/unset probes).  No
 //! per-call feature detection ever runs: the dispatcher is one predictable
 //! load-and-match on the hot path.
 //!
@@ -126,8 +125,6 @@
 //! every backend bit-identical on randomized tables, granules and
 //! misaligned ranges).
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 mod swar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -180,11 +177,9 @@ const fn low_mask(n: usize) -> usize {
     }
 }
 
-/// Nibble lookup tables shared by the vector backends.  The tables encode
-/// arch-independent lane semantics (what the nibble values of an entry
-/// word mean), so there is exactly one definition: CI only compiles the
-/// x86 backend, and a drifted aarch64-only copy would ship untested.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// Nibble lookup tables for the vector kernels: what the nibble values of
+/// an entry word mean, independent of the instruction set.
+#[cfg(target_arch = "x86_64")]
 mod luts {
     /// Nibble → population count (1-bit lanes).
     pub(super) const POPCNT4: [u8; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
@@ -212,10 +207,6 @@ pub enum SimdBackend {
     /// 256-bit AVX2 kernels; selected when the CPU reports AVX2 at runtime.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 128-bit NEON kernels; NEON is a baseline AArch64 feature, so this is
-    /// compile-time gated rather than runtime-probed.
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 /// The process-wide backend choice, made once on first use.
@@ -223,7 +214,7 @@ static BACKEND: OnceLock<SimdBackend> = OnceLock::new();
 
 /// Probes the hardware for the widest available vector backend.
 ///
-/// Returns `None` when only SWAR is available (non-x86/ARM targets, or an
+/// Returns `None` when only SWAR is available (non-x86-64 targets, or an
 /// x86-64 CPU without AVX2).
 pub fn detect_simd_backend() -> Option<SimdBackend> {
     #[cfg(target_arch = "x86_64")]
@@ -233,12 +224,7 @@ pub fn detect_simd_backend() -> Option<SimdBackend> {
         }
         None
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON ("Advanced SIMD") is mandatory in AArch64; no probe needed.
-        Some(SimdBackend::Neon)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         None
     }
@@ -250,10 +236,9 @@ pub fn detect_simd_backend() -> Option<SimdBackend> {
 /// * `Some("swar")` / `Some("off")` / `Some("scalar")` force the SWAR
 ///   fallback regardless of hardware — CI uses this to keep the portable
 ///   path covered on SIMD hosts.
-/// * `Some("avx2")` / `Some("neon")` request a specific vector backend and
-///   quietly fall back to SWAR when the hardware (or the compilation
-///   target) lacks it — a request must never turn into an illegal
-///   instruction.
+/// * `Some("avx2")` requests the vector backend and quietly falls back to
+///   SWAR when the hardware (or the compilation target) lacks it — a
+///   request must never turn into an illegal instruction.
 /// * `None` / `Some("auto")` / anything unrecognised take the probe result,
 ///   or SWAR when there is none.
 ///
@@ -264,9 +249,7 @@ pub fn select_backend(env_override: Option<&str>, detected: Option<SimdBackend>)
         Some("swar") | Some("off") | Some("scalar") => SimdBackend::Swar,
         #[cfg(target_arch = "x86_64")]
         Some("avx2") if detected == Some(SimdBackend::Avx2) => SimdBackend::Avx2,
-        #[cfg(target_arch = "aarch64")]
-        Some("neon") if detected == Some(SimdBackend::Neon) => SimdBackend::Neon,
-        Some("avx2") | Some("neon") => SimdBackend::Swar,
+        Some("avx2") => SimdBackend::Swar,
         _ => detected.unwrap_or(SimdBackend::Swar),
     }
 }
@@ -281,8 +264,7 @@ pub fn active_backend() -> SimdBackend {
 }
 
 /// The vector backends usable on this host (ignores the environment
-/// override).  Drives the cross-backend differential tests and the
-/// `metadata_scan` backend-comparison benches.
+/// override).  Drives the cross-backend differential tests.
 pub fn available_simd_backends() -> Vec<SimdBackend> {
     detect_simd_backend().into_iter().collect()
 }
@@ -311,8 +293,7 @@ impl RangeCensus {
 
 /// A packed side-metadata table: `bits_per_entry` bits per `granule_words`
 /// heap words, stored in machine words and scanned by the widest bulk
-/// kernel the host supports (SWAR / AVX2 / NEON — see the [module
-/// docs](self)).
+/// kernel the host supports (SWAR / AVX2 — see the [module docs](self)).
 ///
 /// Entries of 1, 2, 4 and 8 bits are supported (they must divide 8 so that
 /// an entry never straddles a byte); the granule must be a power of two so
@@ -592,8 +573,6 @@ impl SideMetadata {
             // reports AVX2 (see `select_backend`).
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_range_is_zero(e0, e1) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_range_is_zero(e0, e1),
         }
     }
 
@@ -613,8 +592,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_count_nonzero(e0, e1) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_count_nonzero(e0, e1),
         }
     }
 
@@ -635,8 +612,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_sum(e0, e1) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_sum(e0, e1),
         }
     }
 
@@ -682,8 +657,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_fill(e0, e1, pattern) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_fill(e0, e1, pattern),
         }
     }
 
@@ -693,8 +666,8 @@ impl SideMetadata {
     /// to each selected lane — no carry can cross a byte once its top bit is
     /// zero — then XOR the top bits back in), merged atomically so
     /// concurrent bumps of *other* entries in the same word are never lost.
-    /// The vector backends hoist the value computation (`paddb` over four
-    /// words at once) but commit through the same per-word CAS.
+    /// The AVX2 backend hoists the value computation (`paddb` over four
+    /// words at once) but commits through the same per-word CAS.
     ///
     /// This is the reuse-epoch bump: releasing a block advances the epoch of
     /// all of its lines in `words_per_block / words_per_line / 8` CAS
@@ -720,8 +693,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_bump(e0, e1) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_bump(e0, e1),
         }
     }
 
@@ -799,8 +770,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_find_zero_run(e0, e1, min_entries) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_find_zero_run(e0, e1, min_entries),
         };
         run.map(|(entry, len)| (Address::from_word_index(entry << self.log_granule_words), len))
     }
@@ -844,8 +813,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_for_each_nonzero(e0, e1, &mut f) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_for_each_nonzero(e0, e1, &mut f),
         }
     }
 
@@ -913,7 +880,7 @@ impl SideMetadata {
     /// `[m1, e1)` to the SWAR kernels.  Returns `None` when the interior is
     /// too small to be worth a vector setup (the whole range then goes to
     /// SWAR).
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     fn vec_interior(&self, e0: usize, e1: usize, vec_bytes: usize) -> Option<(usize, usize, usize, usize)> {
         let lepw = self.log_entries_per_word();
@@ -929,10 +896,9 @@ impl SideMetadata {
     }
 
     /// Interior split for the group-scan kernels (the group-aware analogue
-    /// of [`vec_interior`](Self::vec_interior), shared by both vector
-    /// backends so the arithmetic cannot drift between the arch-gated
-    /// copies): for groups of `1 << log_epg` entries over `[e0, e1)` and a
-    /// backend register width, returns
+    /// of [`vec_interior`](Self::vec_interior)): for groups of
+    /// `1 << log_epg` entries over `[e0, e1)` and a backend register width,
+    /// returns
     /// `(byte0, vec_byte_len, group_bytes, m1, interior_groups)` — the
     /// interior occupies table bytes `[byte0, byte0 + vec_byte_len)` and
     /// covers entries `[e0, m1)` as `interior_groups` whole groups, with
@@ -944,7 +910,7 @@ impl SideMetadata {
     /// here are ≥ 1 byte, so the range starts on a byte boundary and every
     /// group boundary falls at a fixed byte phase within each vector step
     /// (group sizes are powers of two).
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     fn group_interior(
         &self,
@@ -977,7 +943,7 @@ impl SideMetadata {
     /// slice, so offsets within `words.len() * WORD_BYTES` stay in
     /// provenance.  Writing through it is permitted despite `&self` because
     /// every byte of an `AtomicUsize` is inside an `UnsafeCell`.
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     fn data_ptr(&self) -> *mut u8 {
         self.words.as_ptr() as *mut u8
@@ -1005,8 +971,6 @@ impl SideMetadata {
             // SAFETY: Avx2 is only selected on CPUs that report AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.avx2_group_scan(e0, e1, log_epg, &mut on_zero_group) },
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => self.neon_group_scan(e0, e1, log_epg, &mut on_zero_group),
         }
     }
 }

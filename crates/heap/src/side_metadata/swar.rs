@@ -1,8 +1,8 @@
 //! The portable word-at-a-time (SWAR) bulk kernels.
 //!
 //! This is the universal fallback backend — the only one on targets without
-//! AVX2/NEON — and the **oracle** the vector backends are property-tested
-//! against (`tests/backend_differential.rs`).  Every kernel processes one
+//! AVX2, ARM included — and the **oracle** the vector backend is
+//! property-tested against (`tests/backend_differential.rs`).  Every kernel processes one
 //! full backing word per iteration using SWAR bit tricks: OR-accumulation
 //! for zero tests, an OR-fold to each lane's low bit plus a popcount for
 //! the census, and the classic masked lane-add / multiply reduction for

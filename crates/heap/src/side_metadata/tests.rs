@@ -351,7 +351,6 @@ fn backend_selection_policy() {
     // Requesting a vector backend the hardware lacks falls back to SWAR
     // rather than dying on an illegal instruction.
     assert_eq!(select_backend(Some("avx2"), None), SimdBackend::Swar);
-    assert_eq!(select_backend(Some("neon"), None), SimdBackend::Swar);
     // With no probe result, auto-selection is SWAR — this is the assertion
     // (not an assumption) that a host without AVX2 runs the portable path.
     assert_eq!(select_backend(None, None), SimdBackend::Swar);

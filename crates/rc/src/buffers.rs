@@ -201,6 +201,8 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
+        // SAFETY: the producers have joined and this thread is still the
+        // only one that ever pops `b`.
         all.extend(unsafe { b.drain_exclusive() }.into_iter().flatten());
         assert_eq!(b.len(), 0);
         // Assert the count *before* dedup: double delivery (the signature

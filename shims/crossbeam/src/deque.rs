@@ -63,6 +63,8 @@ impl<T> Buffer<T> {
 
     #[inline]
     fn slot(&self, index: isize) -> *mut MaybeUninit<T> {
+        // SAFETY: `cap` is a power of two, so the masked offset is below
+        // `cap` and stays inside the `cap`-slot allocation behind `ptr`.
         unsafe { (*self.ptr.add(index as usize & (self.cap - 1))).get() }
     }
 
@@ -110,6 +112,8 @@ struct Inner<T> {
 // atomics and the buffer pointer is only mutated by the single owner, with
 // release/acquire publication to stealers.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: as for `Send`: shared access goes through the atomics, and a
+// slot's value is moved out only by whoever wins its claim.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Drop for Inner<T> {
@@ -117,6 +121,9 @@ impl<T> Drop for Inner<T> {
         let t = *self.top.get_mut();
         let b = *self.bottom.get_mut();
         let buf = *self.buffer.get_mut();
+        // SAFETY: `&mut self` means no owner or stealer is left; `[t, b)`
+        // are exactly the initialised slots of the current buffer, and each
+        // buffer (current or retired) is freed here once.
         unsafe {
             for i in t..b {
                 drop((*buf).read(i));
@@ -157,6 +164,8 @@ impl<T> Clone for Stealer<T> {
 
 // SAFETY: stealing is multi-consumer-safe by construction.
 unsafe impl<T: Send> Send for Stealer<T> {}
+// SAFETY: a shared `Stealer` only steals, which any number of threads may
+// do at once.
 unsafe impl<T: Send> Sync for Stealer<T> {}
 
 impl<T> Default for Worker<T> {
@@ -207,6 +216,9 @@ impl<T> Worker<T> {
         // SAFETY: `old` stays valid until drop (retired, never freed early).
         let old_ref = unsafe { &*old };
         let new = Buffer::alloc((old_ref.cap * 2).max(MIN_CAP));
+        // SAFETY: `new` is fresh and unpublished, with room for the live
+        // range `[t, b)` (at most `cap` elements); the copied bytes are
+        // owned by whoever later wins each slot's claim, in either buffer.
         unsafe {
             for i in t..b {
                 ptr::copy_nonoverlapping(old_ref.slot(i), (*new).slot(i), 1);

@@ -78,6 +78,7 @@ pub(crate) struct SegList<T> {
 // shared segment state is accessed atomically, and segment lifetime is
 // governed by the reclaimer's pin/retire protocol.
 unsafe impl<T: Send> Send for SegList<T> {}
+// SAFETY: as for `Send`: every shared operation is atomic or pinned.
 unsafe impl<T: Send> Sync for SegList<T> {}
 
 impl<T> SegList<T> {
