@@ -93,16 +93,10 @@ pub fn plan_registry(name: &str) -> Box<dyn FnOnce(PlanContext) -> Arc<dyn Plan>
         // Sticky (generational) LXR: mark bits persist across traces, and
         // most traces scan only the nursery — objects allocated or mutated
         // since the last trace — escalating to a full-heap trace
-        // periodically (`LXR_STICKY_FULL_EVERY_N` overrides the cadence)
-        // and whenever the yield heuristic or a degenerate pause demands
-        // one.
+        // periodically and whenever the yield heuristic or a degenerate
+        // pause demands one.
         "lxr-sticky" => Box::new(|ctx: PlanContext| {
-            let mut config = lxr_core::LxrConfig::for_heap(ctx.options.heap.heap_bytes).sticky();
-            if let Some(n) =
-                std::env::var("LXR_STICKY_FULL_EVERY_N").ok().and_then(|v| v.trim().parse::<u64>().ok())
-            {
-                config.sticky_full_every_n = n.max(1);
-            }
+            let config = lxr_core::LxrConfig::for_heap(ctx.options.heap.heap_bytes).sticky();
             Arc::new(lxr_core::LxrPlan::with_config(ctx, config)) as Arc<dyn Plan>
         }),
         "g1" => Box::new(GenerationalPlan::factory()),

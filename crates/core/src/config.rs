@@ -51,8 +51,7 @@ pub struct LxrConfig {
     /// re-walking the whole heap.  Periodically escalated to a full trace
     /// (see `sticky_full_every_n` / `sticky_min_yield`).
     pub sticky: bool,
-    /// Force a full-heap trace after this many consecutive sticky traces
-    /// (the `LXR_STICKY_FULL_EVERY_N` override maps here).
+    /// Force a full-heap trace after this many consecutive sticky traces.
     pub sticky_full_every_n: u64,
     /// Escalate to a full trace early when the observed sticky trace yield
     /// (SATB deaths per object marked) decays below this fraction while the

@@ -12,6 +12,12 @@ use lxr_runtime::{
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Predictive-trigger lead, as a fraction of the predicted per-epoch
+/// allocation volume: a collection is requested once the available memory
+/// (free + recycled + growable) drops below the exhaustion backstop plus
+/// this fraction of the allocation predicted for one epoch.
+const PREDICTIVE_LEAD: f64 = 0.5;
+
 /// The LXR collector (§3): coalescing deferred reference counting over an
 /// Immix heap, brief stop-the-world RC pauses with judicious copying, lazy
 /// concurrent decrements, and an occasional concurrent SATB trace for
@@ -83,12 +89,12 @@ impl Plan for LxrPlan {
         // collection (and its concurrent tail) starts before any allocator
         // actually fails.  Guarded by a block's worth of real allocation so
         // a freshly-finished pause cannot immediately re-trigger.
-        if state.predictive_lead > 0.0 && allocated_words >= state.geometry.words_per_block() {
+        if allocated_words >= state.geometry.words_per_block() {
             let predicted_epoch_words = state.predictors.lock().alloc_words_per_epoch.value();
             let available_words = (available as f64) * state.geometry.words_per_block() as f64;
             let backstop_words = backstop_blocks * state.geometry.words_per_block() as f64;
             if predicted_epoch_words > 0.0
-                && available_words <= backstop_words + state.predictive_lead * predicted_epoch_words
+                && available_words <= backstop_words + PREDICTIVE_LEAD * predicted_epoch_words
             {
                 lxr_failpoints::failpoint!("trigger.predictive");
                 return Some(GcReason::Predictive);

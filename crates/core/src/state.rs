@@ -180,11 +180,6 @@ pub struct LxrState {
     // ---- predictors ----
     /// Survival-rate and live-block predictors.
     pub predictors: Mutex<Predictors>,
-    /// Predictive-trigger lead, copied from the runtime options: a
-    /// collection is requested once available memory drops below the
-    /// exhaustion backstop plus this fraction of the predicted per-epoch
-    /// allocation.  `0.0` disables the predictive trigger.
-    pub predictive_lead: f64,
 }
 
 impl std::fmt::Debug for LxrState {
@@ -246,7 +241,6 @@ impl LxrState {
             objects_marked_at_trace_start: AtomicU64::new(0),
             satb_deaths_at_trace_start: AtomicU64::new(0),
             predictors: Mutex::new(Predictors::new()),
-            predictive_lead: ctx.options.predictive_lead,
         }
     }
 

@@ -22,7 +22,8 @@
 //! # The schedule grammar
 //!
 //! A schedule is parsed from a `;`-separated spec (the `LXR_FAILPOINTS`
-//! environment variable, a `RunOptions` field, or a harness flag):
+//! environment variable, `RuntimeOptions::failpoints`, or the harness's
+//! `--failpoints` flag):
 //!
 //! ```text
 //! seed=42;crew.yield-ack=yield@p=0.1;pause.roots=delay:500us@every=3;heap.alloc=oom@from=100,times=2

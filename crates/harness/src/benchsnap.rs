@@ -579,10 +579,8 @@ fn bench_metadata_scan(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
 fn bench_barrier_overhead(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     let options = crate::experiments::ExperimentOptions {
         scale: cfg.barrier_scale,
-        gc_workers: 2,
-        concurrent_workers: 2,
         seed: 42,
-        ..crate::experiments::ExperimentOptions::default()
+        ..crate::experiments::ExperimentOptions::quick()
     };
     let wall = time_iters(cfg.warmup.min(1), cfg.mark_iters, || {
         black_box(crate::experiments::barrier_overhead(&options));
@@ -855,11 +853,10 @@ fn bench_heap_elasticity(cfg: &SnapshotConfig) -> HeapComparison {
             heap_factor: 3.0,
             scale: cfg.heap_scale,
             seed: 42,
-            gc_workers: 2,
-            concurrent_workers: 2,
             min_heap_factor: elastic.then_some(1.0),
             ..lxr_workloads::RunOptions::default()
-        };
+        }
+        .with_runtime(|r| r.with_gc_workers(2));
         let r = lxr_workloads::run_workload(&spec, "lxr", &options);
         assert!(r.failure.is_none(), "heap-elasticity bench integrity failure: {:?}", r.failure);
         let footprint: Vec<usize> = r.gc.pauses.iter().map(|p| p.mapped_chunks).collect();

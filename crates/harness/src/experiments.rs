@@ -2,6 +2,7 @@
 
 use crate::report::{ms, ratio, us, Table};
 use lxr_heap::HeapConfig;
+use lxr_runtime::RuntimeOptions;
 use lxr_workloads::{
     benchmark, latency_suite, run_serve, run_workload, serve_spec, social_graph_churn, suite, traffic_spike,
     BenchmarkSpec, RunOptions, ServeOptions, ServeResult, ServeSpec, WorkloadResult,
@@ -13,40 +14,23 @@ pub struct ExperimentOptions {
     /// Workload scale (1.0 = the full scaled-down suite; tests and benches
     /// use smaller values).
     pub scale: f64,
-    /// GC worker threads.
-    pub gc_workers: usize,
-    /// Concurrent GC crew size.
-    pub concurrent_workers: usize,
     /// Random seed.
     pub seed: u64,
-    /// A fault-injection schedule applied to every run (`--failpoints`;
-    /// requires the `failpoints` feature to actually fire).
-    pub failpoints: Option<String>,
-    /// Run the sanity verifier inside every n-th pause
-    /// (`--verify-every-n-gcs`).
-    pub verify_every_n_gcs: Option<u64>,
-    /// Out-of-memory stall deadline override (`--oom-stall-ms`).
-    pub oom_retry_stall_ms: Option<u64>,
-    /// Bounded wait for concurrent reclamation between OOM retries
-    /// (`--oom-wait-concurrent-ms`).
-    pub oom_wait_concurrent_ms: Option<u64>,
-    /// Pause/quiescence watchdog deadline (`--watchdog-ms`; off by default
-    /// so benchmark timing is undisturbed).
-    pub watchdog_ms: Option<u64>,
+    /// The runtime every run uses (`--gc-workers`, `--concurrent-workers`,
+    /// `--failpoints`, `--verify-every-n-gcs`, `--watchdog-ms`,
+    /// `--oom-stall-ms`).  The engines replace [`heap`](RuntimeOptions::heap)
+    /// with each benchmark's heap at the experiment's heap factor.
+    /// Defaults to 4 GC workers and a crew of 2, with the watchdogs
+    /// disarmed so benchmark timing is undisturbed.
+    pub runtime: RuntimeOptions,
 }
 
 impl Default for ExperimentOptions {
     fn default() -> Self {
         ExperimentOptions {
             scale: 1.0,
-            gc_workers: 4,
-            concurrent_workers: 2,
             seed: 42,
-            failpoints: None,
-            verify_every_n_gcs: None,
-            oom_retry_stall_ms: None,
-            oom_wait_concurrent_ms: None,
-            watchdog_ms: None,
+            runtime: RuntimeOptions::default().with_gc_workers(4).with_concurrent_workers(2),
         }
     }
 }
@@ -54,24 +38,66 @@ impl Default for ExperimentOptions {
 impl ExperimentOptions {
     /// A quick configuration for tests and benches.
     pub fn quick() -> Self {
-        ExperimentOptions { scale: 0.1, gc_workers: 2, ..ExperimentOptions::default() }
+        let options = ExperimentOptions::default();
+        ExperimentOptions { scale: 0.1, runtime: options.runtime.with_gc_workers(2), ..options }
     }
 
-    fn run_options(&self, heap_factor: f64) -> RunOptions {
-        RunOptions {
-            heap_factor,
-            scale: self.scale,
-            seed: self.seed,
-            gc_workers: self.gc_workers,
-            concurrent_workers: self.concurrent_workers,
-            final_gcs: 0,
-            min_heap_factor: None,
-            failpoints: self.failpoints.clone(),
-            verify_every_n_gcs: self.verify_every_n_gcs,
-            watchdog_ms: self.watchdog_ms,
-            oom_retry_stall_ms: self.oom_retry_stall_ms,
-            oom_wait_concurrent_ms: self.oom_wait_concurrent_ms,
+    /// Parses the harness command line.  Option flags (with their values)
+    /// land in the returned options; every other argument is returned, in
+    /// order, as a requested experiment or subcommand argument.  The flag
+    /// reports whether `--quick` was given, which resets every option given
+    /// before it.
+    ///
+    /// # Panics
+    ///
+    /// On a flag without its value, or with a value that does not parse.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> (Self, bool, Vec<String>) {
+        fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+            let raw = args.next().unwrap_or_else(|| panic!("{flag} requires a value"));
+            raw.parse().unwrap_or_else(|_| panic!("invalid {flag} value `{raw}`"))
         }
+        let mut options = ExperimentOptions::default();
+        let mut quick = false;
+        let mut requested = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => {
+                    options = ExperimentOptions::quick();
+                    quick = true;
+                }
+                "--scale" => options.scale = value(&mut args, &arg),
+                "--gc-workers" => options.runtime = options.runtime.with_gc_workers(value(&mut args, &arg)),
+                "--concurrent-workers" => {
+                    options.runtime = options.runtime.with_concurrent_workers(value(&mut args, &arg))
+                }
+                "--failpoints" => {
+                    options.runtime = options.runtime.with_failpoints(value::<String>(&mut args, &arg))
+                }
+                "--verify-every-n-gcs" => {
+                    options.runtime = options.runtime.with_verify_every_n_gcs(value(&mut args, &arg))
+                }
+                "--watchdog-ms" => options.runtime = options.runtime.with_watchdog_ms(value(&mut args, &arg)),
+                "--oom-stall-ms" => {
+                    options.runtime = options.runtime.with_oom_retry_stall_ms(value(&mut args, &arg))
+                }
+                other => requested.push(other.to_string()),
+            }
+        }
+        (options, quick, requested)
+    }
+
+    /// The workload-engine options for a run at `heap_factor`.
+    fn run_options(&self, heap_factor: f64) -> RunOptions {
+        let runtime = self.runtime.clone();
+        RunOptions { heap_factor, scale: self.scale, seed: self.seed, runtime, ..RunOptions::default() }
+    }
+
+    /// The serving-engine options: the harness runtime with the pause gate
+    /// on, since the serving table measures the gate.
+    fn serve_options(&self) -> ServeOptions {
+        let runtime = self.runtime.clone().with_pause_gate(true);
+        ServeOptions { scale: self.scale, seed: self.seed, runtime, ..ServeOptions::default() }
     }
 }
 
@@ -486,7 +512,7 @@ pub fn barrier_overhead(options: &ExperimentOptions) -> Table {
 /// clean-block buffer size.
 pub fn sensitivity(options: &ExperimentOptions) -> Table {
     use lxr_baselines::plan_registry;
-    use lxr_runtime::{Runtime, RuntimeOptions};
+    use lxr_runtime::Runtime;
 
     let spec = benchmark("lusearch").expect("lusearch spec");
     let mut table = Table::new(
@@ -496,11 +522,8 @@ pub fn sensitivity(options: &ExperimentOptions) -> Table {
     let mut run_with = |label: &str, value: String, configure: &dyn Fn(HeapConfig) -> HeapConfig| {
         let heap_bytes = spec.heap_bytes(2.0);
         let heap = configure(HeapConfig::with_heap_size(heap_bytes));
-        let runtime_options = RuntimeOptions::default()
-            .with_heap_config(heap)
-            .with_gc_workers(options.gc_workers)
-            .with_poll_interval(64);
-        let runtime = Runtime::with_factory(runtime_options, plan_registry("lxr"));
+        let runtime =
+            Runtime::with_factory(options.runtime.clone().with_heap_config(heap), plan_registry("lxr"));
         let start = std::time::Instant::now();
         // Reuse the throughput engine via a short, single-threaded burst.
         let mut mutator = runtime.bind_mutator();
@@ -563,7 +586,7 @@ pub fn social_graph(options: &ExperimentOptions) -> Table {
     );
     let mut run = |label: String, collector: &str, concurrent_workers: usize| {
         let mut run_options = options.run_options(2.0);
-        run_options.concurrent_workers = concurrent_workers;
+        run_options.runtime.concurrent_workers = concurrent_workers;
         let r = run_checked(&spec, collector, &run_options);
         let busy = r.gc.stw_gc_time + r.gc.concurrent_gc_time;
         table.row(vec![
@@ -636,7 +659,7 @@ pub fn heap_elasticity(options: &ExperimentOptions) -> Table {
             run_options.min_heap_factor = Some(1.0);
         }
         if verify_every_gc {
-            run_options.verify_every_n_gcs = Some(1);
+            run_options.runtime.verify_every_n_gcs = Some(1);
         }
         let r = run_checked(&spec, collector, &run_options);
         if r.skipped {
@@ -679,24 +702,6 @@ pub fn heap_elasticity(options: &ExperimentOptions) -> Table {
 /// bracket it (generational stop-the-world and concurrent copying).
 pub const SERVE_COLLECTORS: &[&str] = &["lxr", "lxr-sticky", "g1", "shenandoah"];
 
-/// Maps the harness-wide options onto the serving engine's.
-fn serve_options(options: &ExperimentOptions) -> ServeOptions {
-    let mut o = ServeOptions::default()
-        .with_scale(options.scale)
-        .with_seed(options.seed)
-        .with_gc_threads(options.gc_workers, options.concurrent_workers);
-    if let Some(fp) = &options.failpoints {
-        o = o.with_failpoints(fp.clone());
-    }
-    if let Some(n) = options.verify_every_n_gcs {
-        o = o.with_verify_every_n_gcs(n);
-    }
-    if let Some(ms) = options.watchdog_ms {
-        o = o.with_watchdog_ms(ms);
-    }
-    o
-}
-
 /// [`run_serve`] with the same integrity reporting as [`run_checked`].
 fn run_serve_checked(spec: &ServeSpec, collector: &str, options: &ServeOptions) -> ServeResult {
     let r = run_serve(spec, collector, options);
@@ -719,7 +724,7 @@ pub fn serve(options: &ExperimentOptions) -> (Table, Vec<ServeResult>) {
         "Serving: open-loop session frontend (latency µs; 2x heap, gate on)",
         &["collector", "QPS", "p50", "p90", "p99", "p99.9", "max", "stall ms", "parked", "boundary", "kicks"],
     );
-    let serve_opts = serve_options(options);
+    let serve_opts = options.serve_options();
     let mut results = Vec::new();
     for collector in SERVE_COLLECTORS {
         let r = run_serve_checked(&spec, collector, &serve_opts);
@@ -805,8 +810,7 @@ pub fn chaos(options: &ExperimentOptions) -> Table {
                 if spec.traffic_spike {
                     run_options.min_heap_factor = Some(1.0);
                 }
-                run_options.verify_every_n_gcs = options.verify_every_n_gcs;
-                run_options.watchdog_ms = Some(options.watchdog_ms.unwrap_or(60_000));
+                run_options.runtime.watchdog_ms.get_or_insert(60_000);
                 // Install through a guard rather than the runtime options:
                 // schedules are process-global, and the guard guarantees the
                 // next cell starts clean even if this one panics.
@@ -855,7 +859,62 @@ mod tests {
     use super::*;
 
     fn quick_options(scale: f64) -> ExperimentOptions {
-        ExperimentOptions { scale, gc_workers: 2, seed: 1, ..ExperimentOptions::default() }
+        ExperimentOptions { scale, seed: 1, ..ExperimentOptions::quick() }
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Every runtime flag the harness accepts, each set off its default.
+    const RUNTIME_FLAGS: &str = "--gc-workers 3 --concurrent-workers 5 --failpoints seed=7;crew.*=yield \
+                                 --verify-every-n-gcs 2 --watchdog-ms 900 --oom-stall-ms 1234";
+
+    /// The runtime options with the heap, which the engines replace, reset.
+    fn without_heap(runtime: &RuntimeOptions) -> String {
+        format!("{:?}", runtime.clone().with_heap_config(HeapConfig::default()))
+    }
+
+    #[test]
+    fn each_runtime_flag_lands_in_its_runtime_field() {
+        let (options, quick, requested) =
+            ExperimentOptions::from_args(args(&format!("{RUNTIME_FLAGS} --scale 0.5 table1 serve")));
+        assert!(!quick);
+        assert_eq!(requested, ["table1", "serve"]);
+        assert_eq!(options.scale, 0.5);
+        let runtime = &options.runtime;
+        assert_eq!(runtime.gc_workers, 3);
+        assert_eq!(runtime.concurrent_workers, 5);
+        assert_eq!(runtime.failpoints.as_deref(), Some("seed=7;crew.*=yield"));
+        assert_eq!(runtime.verify_every_n_gcs, Some(2));
+        assert_eq!(runtime.watchdog_ms, Some(900));
+        assert_eq!(runtime.oom_retry_stall_ms, 1234);
+    }
+
+    #[test]
+    fn quick_keeps_its_scale_and_gc_workers() {
+        let (options, quick, requested) =
+            ExperimentOptions::from_args(args("--quick bench-snapshot out.json"));
+        assert!(quick);
+        assert_eq!(requested, ["bench-snapshot", "out.json"]);
+        assert_eq!(options.scale, 0.1);
+        assert_eq!(options.runtime.gc_workers, 2);
+        assert_eq!(options.runtime.concurrent_workers, 2);
+        let (options, ..) = ExperimentOptions::from_args(args("--quick --gc-workers 8"));
+        assert_eq!((options.scale, options.runtime.gc_workers), (0.1, 8), "flags after --quick still apply");
+    }
+
+    #[test]
+    fn engine_options_carry_the_harness_runtime() {
+        let (options, ..) = ExperimentOptions::from_args(args(&format!("--scale 0.3 {RUNTIME_FLAGS}")));
+        let expected = without_heap(&options.runtime);
+        let run = options.run_options(1.3);
+        assert_eq!((run.heap_factor, run.scale, run.seed), (1.3, 0.3, options.seed));
+        assert_eq!(without_heap(&run.runtime), expected);
+        let serve = options.serve_options();
+        assert_eq!((serve.scale, serve.seed), (0.3, options.seed));
+        assert!(serve.runtime.pause_gate, "the serving table measures the gate");
+        assert_eq!(without_heap(&serve.runtime.with_pause_gate(false)), expected);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Command-line entry point for the experiment harness.
 //!
 //! ```text
-//! lxr-harness [--quick] [--scale S] [--failpoints SPEC] [--verify-every-n-gcs N]
-//!             [--watchdog-ms MS] [--oom-stall-ms MS] [--oom-wait-concurrent-ms MS]
-//!             <experiment>...
+//! lxr-harness [--quick] [--scale S] [--gc-workers N] [--concurrent-workers N]
+//!             [--failpoints SPEC] [--verify-every-n-gcs N] [--watchdog-ms MS]
+//!             [--oom-stall-ms MS] <experiment>...
 //!
 //! experiments: table1 table3 table4 table5 table6 table7 fig7
 //!              barrier-overhead sensitivity socialgraph heap serve chaos all
@@ -30,52 +30,7 @@
 use lxr_harness::experiments::{self, ExperimentOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut options = ExperimentOptions::default();
-    let mut requested: Vec<String> = Vec::new();
-    let mut quick = false;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options = ExperimentOptions::quick();
-                quick = true;
-            }
-            "--scale" => {
-                let value = iter.next().expect("--scale requires a value");
-                options.scale = value.parse().expect("invalid scale");
-            }
-            "--gc-workers" => {
-                let value = iter.next().expect("--gc-workers requires a value");
-                options.gc_workers = value.parse().expect("invalid worker count");
-            }
-            "--concurrent-workers" => {
-                let value = iter.next().expect("--concurrent-workers requires a value");
-                options.concurrent_workers = value.parse().expect("invalid crew size");
-            }
-            "--failpoints" => {
-                let value = iter.next().expect("--failpoints requires a schedule");
-                options.failpoints = Some(value);
-            }
-            "--verify-every-n-gcs" => {
-                let value = iter.next().expect("--verify-every-n-gcs requires a value");
-                options.verify_every_n_gcs = Some(value.parse().expect("invalid verification cadence"));
-            }
-            "--watchdog-ms" => {
-                let value = iter.next().expect("--watchdog-ms requires a value");
-                options.watchdog_ms = Some(value.parse().expect("invalid watchdog deadline"));
-            }
-            "--oom-stall-ms" => {
-                let value = iter.next().expect("--oom-stall-ms requires a value");
-                options.oom_retry_stall_ms = Some(value.parse().expect("invalid stall deadline"));
-            }
-            "--oom-wait-concurrent-ms" => {
-                let value = iter.next().expect("--oom-wait-concurrent-ms requires a value");
-                options.oom_wait_concurrent_ms = Some(value.parse().expect("invalid wait deadline"));
-            }
-            other => requested.push(other.to_string()),
-        }
-    }
+    let (options, quick, mut requested) = ExperimentOptions::from_args(std::env::args().skip(1));
     if requested.is_empty() {
         requested.push("all".to_string());
     }
@@ -126,7 +81,10 @@ fn main() {
 
     let all = requested.iter().any(|r| r == "all");
 
-    println!("lxr-rs experiment harness (scale {:.2}, {} GC workers)", options.scale, options.gc_workers);
+    println!(
+        "lxr-rs experiment harness (scale {:.2}, {} GC workers)",
+        options.scale, options.runtime.gc_workers
+    );
     println!("substrate: simulated word-addressed Immix heap, {} mutator threads per workload\n", 4);
 
     let want = |name: &str| all || requested.iter().any(|r| r == name);

@@ -376,7 +376,7 @@ impl Mutator {
         // every pause — indefinitely, and the retry loop's stall deadline
         // must get a chance to fire).
         let deadline = std::time::Instant::now()
-            + std::time::Duration::from_millis(self.runtime.options.effective_oom_wait_concurrent_ms());
+            + std::time::Duration::from_millis(self.runtime.options.oom_retry_stall_ms);
         while std::time::Instant::now() < deadline {
             if !self.runtime.plan.has_concurrent_work() || self.runtime.rendezvous.is_shutdown() {
                 return;

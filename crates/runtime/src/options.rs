@@ -45,12 +45,9 @@ pub struct RuntimeOptions {
     /// only after this long with *zero* blocks released does it report a
     /// clean out-of-memory panic.  Replaces the old fixed 8-attempt cap,
     /// which declared OOM spuriously whenever heavy cyclic churn needed
-    /// more than eight pauses to finish a backup trace.
+    /// more than eight pauses to finish a backup trace.  The same deadline
+    /// bounds each post-pause wait on concurrent reclamation.
     pub oom_retry_stall_ms: u64,
-    /// Deadline for the post-pause wait on concurrent reclamation during an
-    /// allocation retry, in milliseconds.  Defaults to
-    /// [`oom_retry_stall_ms`](Self::oom_retry_stall_ms) when unset.
-    pub oom_wait_concurrent_ms: Option<u64>,
     /// Failpoint schedule spec (see `lxr_failpoints`), installed at runtime
     /// construction unless a schedule is already active.  The
     /// `LXR_FAILPOINTS` environment variable is the fallback when `None`.
@@ -66,18 +63,6 @@ pub struct RuntimeOptions {
     /// watchdogs; tests and CI set it so a wedged protocol becomes a
     /// structured state dump instead of a suite timeout.
     pub watchdog_ms: Option<u64>,
-    /// Shrink hysteresis for elastic heaps: a chunk must be observed fully
-    /// free at this many *consecutive* pause epilogues before it is released
-    /// back to the OS.  Prevents chunks from bouncing across the mapping
-    /// boundary between allocation bursts.  Only meaningful when the heap
-    /// config is elastic (see [`with_heap_range`](Self::with_heap_range)).
-    pub shrink_idle_pauses: u32,
-    /// Predictive-trigger lead, as a fraction of the predicted per-epoch
-    /// allocation volume: a collection is requested once the available
-    /// memory (free + recycled + growable) drops below the exhaustion
-    /// backstop plus `predictive_lead` times the predicted allocation of
-    /// one epoch.  `0.0` disables the predictive trigger entirely.
-    pub predictive_lead: f64,
     /// Enables the request-aware [`PauseGate`](crate::PauseGate): deferrable
     /// pacing triggers (threshold/predictive) raised while a request is in
     /// flight are parked and released at the next request boundary or idle
@@ -99,12 +84,9 @@ impl Default for RuntimeOptions {
             concurrent_workers: default_concurrent_workers(),
             poll_interval_allocs: 64,
             oom_retry_stall_ms: 1000,
-            oom_wait_concurrent_ms: None,
             failpoints: None,
             verify_every_n_gcs: None,
             watchdog_ms: None,
-            shrink_idle_pauses: 2,
-            predictive_lead: 0.5,
             pause_gate: false,
             pause_gate_defer_ms: 5,
         }
@@ -143,21 +125,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Sets the shrink hysteresis (consecutive idle pause epilogues before a
-    /// cold chunk is released; at least one).
-    pub fn with_shrink_idle_pauses(mut self, pauses: u32) -> Self {
-        self.shrink_idle_pauses = pauses.max(1);
-        self
-    }
-
-    /// Sets the predictive-trigger lead (fraction of one predicted epoch's
-    /// allocation; `0.0` disables predictive triggering).
-    pub fn with_predictive_lead(mut self, lead: f64) -> Self {
-        assert!(lead >= 0.0, "predictive lead must be non-negative");
-        self.predictive_lead = lead;
-        self
-    }
-
     /// Sets the number of parallel GC workers.
     pub fn with_gc_workers(mut self, workers: usize) -> Self {
         self.gc_workers = workers.max(1);
@@ -186,12 +153,6 @@ impl RuntimeOptions {
     /// progress before reporting out of memory.
     pub fn with_oom_retry_stall_ms(mut self, ms: u64) -> Self {
         self.oom_retry_stall_ms = ms;
-        self
-    }
-
-    /// Sets the deadline for the post-pause wait on concurrent reclamation.
-    pub fn with_oom_wait_concurrent_ms(mut self, ms: u64) -> Self {
-        self.oom_wait_concurrent_ms = Some(ms);
         self
     }
 
@@ -226,12 +187,6 @@ impl RuntimeOptions {
         self.pause_gate_defer_ms = ms;
         self
     }
-
-    /// The effective deadline for the post-pause concurrent-reclamation
-    /// wait: the dedicated knob, falling back to the stall deadline.
-    pub fn effective_oom_wait_concurrent_ms(&self) -> u64 {
-        self.oom_wait_concurrent_ms.unwrap_or(self.oom_retry_stall_ms)
-    }
 }
 
 #[cfg(test)]
@@ -252,15 +207,10 @@ mod tests {
 
     #[test]
     fn builders_clamp_to_valid_values() {
-        let o = RuntimeOptions::default()
-            .with_gc_workers(0)
-            .with_concurrent_workers(0)
-            .with_poll_interval(0)
-            .with_shrink_idle_pauses(0);
+        let o = RuntimeOptions::default().with_gc_workers(0).with_concurrent_workers(0).with_poll_interval(0);
         assert_eq!(o.gc_workers, 1);
         assert_eq!(o.concurrent_workers, 1);
         assert_eq!(o.poll_interval_allocs, 1);
-        assert_eq!(o.shrink_idle_pauses, 1);
     }
 
     #[test]

@@ -15,6 +15,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Shrink hysteresis for elastic heaps: a chunk must be observed fully free
+/// at this many *consecutive* pause epilogues before it is released back to
+/// the OS, so chunks do not bounce across the mapping boundary between
+/// allocation bursts.
+const SHRINK_IDLE_PAUSES: u32 = 2;
+
 /// Attributes of the current pause, filled in by the plan during
 /// [`Plan::collect`] and folded into the [`PauseRecord`] by the controller.
 #[derive(Debug)]
@@ -447,10 +453,10 @@ fn controller_loop(shared: Arc<RuntimeShared>) {
         shared.plan.collect(&collection);
 
         // Elastic shrink epilogue (collector-agnostic): chunks whose blocks
-        // all sat on the central free list for `shrink_idle_pauses`
+        // all sat on the central free list for `SHRINK_IDLE_PAUSES`
         // consecutive pauses are released back to the OS.  A no-op for
         // fixed-extent heaps.
-        shared.blocks.release_cold_chunks(shared.options.shrink_idle_pauses);
+        shared.blocks.release_cold_chunks(SHRINK_IDLE_PAUSES);
 
         let sched_now = shared.workers.sched_totals();
         shared.stats.add(crate::stats::WorkCounter::SchedPushes, sched_now.pushes - sched_last.pushes);

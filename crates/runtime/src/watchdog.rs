@@ -11,8 +11,9 @@
 //! # Arming
 //!
 //! Watchdogs are armed by [`RuntimeOptions::watchdog_ms`]; the default is
-//! `None` (disarmed), so release benchmarks pay nothing.  Tests and CI arm
-//! them through `RunOptions` (the workload engine defaults the deadline on).
+//! `None` (disarmed), so release benchmarks pay nothing, and the workload
+//! engines keep whatever their `runtime` options carry.  Tests and CI arm
+//! them explicitly (the chaos suite, the harness's `--watchdog-ms`).
 //! The deadline applies independently to each wait: stopping the world,
 //! every parallel pause phase, crew quiescence, and the external
 //! `request_gc_and_wait` loop.

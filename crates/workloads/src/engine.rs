@@ -69,33 +69,22 @@ pub struct RunOptions {
     pub scale: f64,
     /// Random seed.
     pub seed: u64,
-    /// Number of parallel GC worker threads.
-    pub gc_workers: usize,
-    /// Size of the concurrent GC crew (SATB marking, lazy decrements).
-    pub concurrent_workers: usize,
     /// Forced collections after the workload finishes (and after the wall
     /// time is captured, so timing results are unaffected).  Lets tests
     /// deterministically complete an in-flight concurrent trace; 0 (the
     /// default) preserves the pure workload-driven behaviour.
     pub final_gcs: usize,
-    /// A fault-injection schedule for the run (see `lxr_failpoints`); a
-    /// no-op unless the `failpoints` feature is compiled in.
-    pub failpoints: Option<String>,
-    /// Run the plan's sanity verifier inside every n-th collection pause.
-    pub verify_every_n_gcs: Option<u64>,
-    /// Deadline in milliseconds for pause phases and quiescence waits
-    /// (`None` leaves watchdogs disarmed, the benchmarking default).
-    pub watchdog_ms: Option<u64>,
-    /// Overrides the runtime's out-of-memory stall deadline (ms).
-    pub oom_retry_stall_ms: Option<u64>,
-    /// Overrides the runtime's bounded wait for concurrent reclamation
-    /// between out-of-memory retries (ms).
-    pub oom_wait_concurrent_ms: Option<u64>,
     /// Makes the heap elastic: the minimum heap as a multiple of the
     /// benchmark's minimum heap (the maximum stays at
     /// [`heap_factor`](Self::heap_factor)).  `None` (the default) keeps
     /// the classic fixed-extent heap.
     pub min_heap_factor: Option<f64>,
+    /// The runtime the workload runs on.  The engine replaces
+    /// [`heap`](RuntimeOptions::heap) with the benchmark's heap at
+    /// [`heap_factor`](Self::heap_factor) (elastic down to
+    /// [`min_heap_factor`](Self::min_heap_factor) when set); every other
+    /// field is used as given.  Defaults to 4 GC workers and a crew of 2.
+    pub runtime: RuntimeOptions,
 }
 
 impl Default for RunOptions {
@@ -104,15 +93,9 @@ impl Default for RunOptions {
             heap_factor: 2.0,
             scale: 1.0,
             seed: 12345,
-            gc_workers: 4,
-            concurrent_workers: 2,
             final_gcs: 0,
-            failpoints: None,
-            verify_every_n_gcs: None,
-            watchdog_ms: None,
-            oom_retry_stall_ms: None,
-            oom_wait_concurrent_ms: None,
             min_heap_factor: None,
+            runtime: RuntimeOptions::default().with_gc_workers(4).with_concurrent_workers(2),
         }
     }
 }
@@ -130,46 +113,9 @@ impl RunOptions {
         self
     }
 
-    /// Sets the concurrent GC crew size.
-    pub fn with_concurrent_workers(mut self, workers: usize) -> Self {
-        self.concurrent_workers = workers.max(1);
-        self
-    }
-
     /// Sets the number of forced end-of-run collections.
     pub fn with_final_gcs(mut self, n: usize) -> Self {
         self.final_gcs = n;
-        self
-    }
-
-    /// Sets the fault-injection schedule.
-    pub fn with_failpoints(mut self, spec: impl Into<String>) -> Self {
-        self.failpoints = Some(spec.into());
-        self
-    }
-
-    /// Runs the sanity verifier inside every n-th collection pause.
-    pub fn with_verify_every_n_gcs(mut self, n: u64) -> Self {
-        self.verify_every_n_gcs = Some(n);
-        self
-    }
-
-    /// Arms the pause/quiescence watchdogs with the given deadline.
-    pub fn with_watchdog_ms(mut self, ms: u64) -> Self {
-        self.watchdog_ms = Some(ms);
-        self
-    }
-
-    /// Sets the out-of-memory stall deadline.
-    pub fn with_oom_retry_stall_ms(mut self, ms: u64) -> Self {
-        self.oom_retry_stall_ms = Some(ms);
-        self
-    }
-
-    /// Sets the bounded wait for concurrent reclamation between
-    /// out-of-memory retries.
-    pub fn with_oom_wait_concurrent_ms(mut self, ms: u64) -> Self {
-        self.oom_wait_concurrent_ms = Some(ms);
         self
     }
 
@@ -177,6 +123,12 @@ impl RunOptions {
     /// benchmark's minimum heap (must not exceed the heap factor).
     pub fn with_min_heap_factor(mut self, f: f64) -> Self {
         self.min_heap_factor = Some(f);
+        self
+    }
+
+    /// Maps the runtime options (GC threads, verifier, watchdog, ...).
+    pub fn with_runtime(mut self, f: impl FnOnce(RuntimeOptions) -> RuntimeOptions) -> Self {
+        self.runtime = f(self.runtime);
         self
     }
 }
@@ -204,28 +156,10 @@ pub fn run_workload(spec: &BenchmarkSpec, collector: &str, options: &RunOptions)
             };
         }
     }
-    let mut runtime_options = RuntimeOptions::default()
-        .with_heap_size(heap_bytes)
-        .with_gc_workers(options.gc_workers)
-        .with_concurrent_workers(options.concurrent_workers)
-        .with_poll_interval(64);
+    let mut runtime_options =
+        RuntimeOptions { heap: Default::default(), ..options.runtime.clone() }.with_heap_size(heap_bytes);
     if let Some(min_factor) = options.min_heap_factor {
         runtime_options = runtime_options.with_heap_range(spec.heap_bytes(min_factor), heap_bytes);
-    }
-    if let Some(fp) = &options.failpoints {
-        runtime_options = runtime_options.with_failpoints(fp.clone());
-    }
-    if let Some(n) = options.verify_every_n_gcs {
-        runtime_options = runtime_options.with_verify_every_n_gcs(n);
-    }
-    if let Some(ms) = options.watchdog_ms {
-        runtime_options = runtime_options.with_watchdog_ms(ms);
-    }
-    if let Some(ms) = options.oom_retry_stall_ms {
-        runtime_options = runtime_options.with_oom_retry_stall_ms(ms);
-    }
-    if let Some(ms) = options.oom_wait_concurrent_ms {
-        runtime_options = runtime_options.with_oom_wait_concurrent_ms(ms);
     }
     let runtime = Runtime::with_factory(runtime_options, plan_registry(collector));
 

@@ -75,8 +75,8 @@ mod tests {
             &RunOptions::default()
                 .with_heap_factor(2.5)
                 .with_scale(0.5)
-                .with_concurrent_workers(2)
-                .with_final_gcs(4),
+                .with_final_gcs(4)
+                .with_runtime(|r| r.with_concurrent_workers(2)),
         );
         assert!(!result.skipped);
         assert!(result.allocated_bytes > 24 << 20, "the workload churned through its allocation budget");
@@ -109,7 +109,7 @@ mod tests {
         let result = run_workload(
             &spec,
             "lxr-sticky",
-            &RunOptions::default().with_scale(0.2).with_verify_every_n_gcs(1),
+            &RunOptions::default().with_scale(0.2).with_runtime(|r| r.with_verify_every_n_gcs(1)),
         );
         assert!(!result.skipped);
         assert!(result.allocated_bytes > 0);
@@ -131,7 +131,7 @@ mod tests {
                     .with_heap_factor(3.0)
                     .with_scale(0.2)
                     .with_min_heap_factor(1.0)
-                    .with_verify_every_n_gcs(1),
+                    .with_runtime(|r| r.with_verify_every_n_gcs(1)),
             );
             assert!(!result.skipped, "{collector} should run the traffic spike");
             assert!(result.failure.is_none(), "{collector}: {:?}", result.failure);
@@ -164,7 +164,7 @@ mod tests {
                 .with_heap_factor(3.0)
                 .with_scale(0.2)
                 .with_min_heap_factor(1.0)
-                .with_verify_every_n_gcs(1),
+                .with_runtime(|r| r.with_verify_every_n_gcs(1)),
         );
         assert!(!result.skipped);
         assert!(result.failure.is_none(), "chunk churn must degrade cleanly: {:?}", result.failure);
@@ -192,9 +192,8 @@ mod tests {
             &RunOptions::default()
                 .with_heap_factor(2.5)
                 .with_scale(0.5)
-                .with_concurrent_workers(2)
                 .with_final_gcs(48)
-                .with_verify_every_n_gcs(1),
+                .with_runtime(|r| r.with_concurrent_workers(2).with_verify_every_n_gcs(1)),
         );
         assert!(!result.skipped);
         assert!(result.allocated_bytes > 24 << 20, "the workload churned through its allocation budget");

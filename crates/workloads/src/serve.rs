@@ -22,9 +22,11 @@
 //! recorded per worker into an HDR-style
 //! [`LatencyHistogram`] and merged at the end.
 //!
-//! With [`ServeOptions::pause_gate`] set, workers bracket each request with
+//! Workers bracket each request with
 //! [`Mutator::begin_request`]/[`Mutator::end_request`] and spend arrival
-//! gaps in [`Mutator::idle_until`], letting the runtime's
+//! gaps in [`Mutator::idle_until`].  With the runtime's
+//! [`pause_gate`](lxr_runtime::RuntimeOptions::pause_gate) set (the
+//! [`ServeOptions`] default), that lets the
 //! [`PauseGate`](lxr_runtime::PauseGate) move deferrable collections onto
 //! request boundaries and kick concurrent work into mutator idle time.
 //!
@@ -178,20 +180,12 @@ pub struct ServeOptions {
     pub scale: f64,
     /// Random seed (drives the arrival schedule and the session churn).
     pub seed: u64,
-    /// Number of parallel GC worker threads.
-    pub gc_workers: usize,
-    /// Size of the concurrent GC crew.
-    pub concurrent_workers: usize,
     /// **Control mode**: account each request's latency from its dispatch
     /// time instead of its intended arrival — the coordinated-omission
     /// mistake, kept deliberately so tests can prove the open-loop
     /// accounting corrects it.  The offered schedule is identical in both
     /// modes.
     pub closed_loop: bool,
-    /// Enables the runtime's request-aware pause gate for this run.
-    pub pause_gate: bool,
-    /// The gate's deferral window, in milliseconds.
-    pub pause_gate_defer_ms: u64,
     /// Injects a deterministic service stall: every `stall_every`-th
     /// request sleeps for [`stall`](Self::stall) mid-service.  A pinned
     /// "pause" for coordinated-omission tests that works without the
@@ -199,14 +193,11 @@ pub struct ServeOptions {
     pub stall_every: Option<usize>,
     /// Duration of the injected service stall.
     pub stall: Duration,
-    /// A fault-injection schedule (see `lxr_failpoints`).
-    pub failpoints: Option<String>,
-    /// Run the sanity verifier inside every n-th collection pause.
-    pub verify_every_n_gcs: Option<u64>,
-    /// Pause/quiescence watchdog deadline in milliseconds.
-    pub watchdog_ms: Option<u64>,
-    /// Forced collections after the run (off the measured clock).
-    pub final_gcs: usize,
+    /// The runtime the service runs on.  The engine replaces
+    /// [`heap`](RuntimeOptions::heap) with the spec's heap at
+    /// [`heap_factor`](Self::heap_factor); every other field is used as
+    /// given.  Defaults to 4 GC workers, a crew of 2 and the pause gate on.
+    pub runtime: RuntimeOptions,
 }
 
 impl Default for ServeOptions {
@@ -215,17 +206,13 @@ impl Default for ServeOptions {
             heap_factor: 2.0,
             scale: 1.0,
             seed: 12345,
-            gc_workers: 4,
-            concurrent_workers: 2,
             closed_loop: false,
-            pause_gate: true,
-            pause_gate_defer_ms: 5,
             stall_every: None,
             stall: Duration::ZERO,
-            failpoints: None,
-            verify_every_n_gcs: None,
-            watchdog_ms: None,
-            final_gcs: 0,
+            runtime: RuntimeOptions::default()
+                .with_gc_workers(4)
+                .with_concurrent_workers(2)
+                .with_pause_gate(true),
         }
     }
 }
@@ -255,12 +242,6 @@ impl ServeOptions {
         self
     }
 
-    /// Enables or disables the request-aware pause gate.
-    pub fn with_pause_gate(mut self, enabled: bool) -> Self {
-        self.pause_gate = enabled;
-        self
-    }
-
     /// Injects a deterministic `stall` into every `every`-th request.
     pub fn with_stall(mut self, every: usize, stall: Duration) -> Self {
         self.stall_every = Some(every.max(1));
@@ -268,34 +249,9 @@ impl ServeOptions {
         self
     }
 
-    /// Sets the fault-injection schedule.
-    pub fn with_failpoints(mut self, spec: impl Into<String>) -> Self {
-        self.failpoints = Some(spec.into());
-        self
-    }
-
-    /// Runs the sanity verifier inside every n-th collection pause.
-    pub fn with_verify_every_n_gcs(mut self, n: u64) -> Self {
-        self.verify_every_n_gcs = Some(n);
-        self
-    }
-
-    /// Arms the pause/quiescence watchdogs.
-    pub fn with_watchdog_ms(mut self, ms: u64) -> Self {
-        self.watchdog_ms = Some(ms);
-        self
-    }
-
-    /// Sets the number of forced end-of-run collections.
-    pub fn with_final_gcs(mut self, n: usize) -> Self {
-        self.final_gcs = n;
-        self
-    }
-
-    /// Sets the GC worker and concurrent crew sizes.
-    pub fn with_gc_threads(mut self, gc_workers: usize, concurrent_workers: usize) -> Self {
-        self.gc_workers = gc_workers.max(1);
-        self.concurrent_workers = concurrent_workers.max(1);
+    /// Maps the runtime options (GC threads, pause gate, verifier, ...).
+    pub fn with_runtime(mut self, f: impl FnOnce(RuntimeOptions) -> RuntimeOptions) -> Self {
+        self.runtime = f(self.runtime);
         self
     }
 }
@@ -485,22 +441,8 @@ pub fn run_serve(spec: &ServeSpec, collector: &str, options: &ServeOptions) -> S
         }
     }
 
-    let mut runtime_options = RuntimeOptions::default()
-        .with_heap_size(heap_bytes)
-        .with_gc_workers(options.gc_workers)
-        .with_concurrent_workers(options.concurrent_workers)
-        .with_poll_interval(64)
-        .with_pause_gate(options.pause_gate)
-        .with_pause_gate_defer_ms(options.pause_gate_defer_ms);
-    if let Some(fp) = &options.failpoints {
-        runtime_options = runtime_options.with_failpoints(fp.clone());
-    }
-    if let Some(n) = options.verify_every_n_gcs {
-        runtime_options = runtime_options.with_verify_every_n_gcs(n);
-    }
-    if let Some(ms) = options.watchdog_ms {
-        runtime_options = runtime_options.with_watchdog_ms(ms);
-    }
+    let runtime_options =
+        RuntimeOptions { heap: Default::default(), ..options.runtime.clone() }.with_heap_size(heap_bytes);
     let runtime = Runtime::with_factory(runtime_options, plan_registry(collector));
 
     let workers = spec.workers.max(1);
@@ -534,9 +476,6 @@ pub fn run_serve(spec: &ServeSpec, collector: &str, options: &ServeOptions) -> S
         }
     }
     let wall_time = start.elapsed();
-    for _ in 0..options.final_gcs {
-        runtime.request_gc_and_wait();
-    }
     let gc = runtime.stats().snapshot();
     runtime.shutdown();
 
@@ -777,7 +716,11 @@ mod tests {
     #[test]
     fn disabled_gate_reports_no_gate_activity() {
         let spec = quick_spec();
-        let result = run_serve(&spec, "lxr", &ServeOptions::default().with_scale(0.3).with_pause_gate(false));
+        let result = run_serve(
+            &spec,
+            "lxr",
+            &ServeOptions::default().with_scale(0.3).with_runtime(|r| r.with_pause_gate(false)),
+        );
         assert!(!result.skipped);
         assert_eq!(result.gc.counter(WorkCounter::GateDeferredTriggers), 0);
         assert_eq!(result.gc.counter(WorkCounter::GateBoundaryPauses), 0);

@@ -24,9 +24,7 @@ const YIELD_STORM: &str = "seed=7;crew.*=yield@p=0.2;workers.*=yield@p=0.1;mutat
 fn chaos_options(crew: usize, scale: f64) -> RunOptions {
     RunOptions::default()
         .with_scale(scale)
-        .with_concurrent_workers(crew)
-        .with_verify_every_n_gcs(1)
-        .with_watchdog_ms(60_000)
+        .with_runtime(|r| r.with_concurrent_workers(crew).with_verify_every_n_gcs(1).with_watchdog_ms(60_000))
 }
 
 fn deep_list_under_schedule(collector: &'static str, schedule: &str, options: RunOptions) -> WorkloadResult {
@@ -99,7 +97,8 @@ fn injected_allocation_failures_are_absorbed_by_retries() {
         // Exhausted-collection traffic, and a transient zero-progress window
         // (especially with the verifier walking the heap every pause) must
         // not be misread as a genuine out-of-memory.
-        let options = chaos_options(2, 0.2).with_heap_factor(3.0).with_oom_retry_stall_ms(10_000);
+        let options =
+            chaos_options(2, 0.2).with_heap_factor(3.0).with_runtime(|r| r.with_oom_retry_stall_ms(10_000));
         deep_list_under_schedule(collector, "seed=7;runtime.alloc=oom@every=401", options);
     }
 }
