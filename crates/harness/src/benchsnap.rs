@@ -18,27 +18,14 @@
 //!   and on a nearly-full table, the set-entry walk, fill+clear and the
 //!   epoch bump) on the scalar reference walk (where one exists), SWAR,
 //!   and whatever backend the host dispatches to;
-//! * `barrier_overhead/*` — the §5.3 barrier-overhead experiment at a
-//!   reduced scale;
 //! * `sticky_trace/*` — a full-heap trace vs a sticky (generational) cycle
 //!   over the same mature graph plus a nursery epoch; these records also
-//!   carry `granules_traced`/`objects_marked` extras, and the comparison is
-//!   rendered into a second document (`BENCH_trace.json`, see
-//!   [`snapshot`]) whose `reduction` section is the acceptance evidence
-//!   for sticky mode (target: ≥ 3× fewer granules traced per sticky
-//!   cycle);
-//! * `heap_elasticity` — the traffic-spike workload on an elastic 1×..3×
-//!   heap vs a fixed-extent control, rendered into a third document
-//!   (`BENCH_heap.json`) carrying the mapped-chunks-per-GC footprint
-//!   series, the chunk map/release counters and the predictive-vs-
-//!   exhaustion trigger split: the acceptance evidence for the elastic
-//!   heap (chunks released between bursts, predictive triggers leading);
-//! * `serve` — the open-loop serving benchmark ([`serve_snapshot`]),
-//!   rendered into a fourth document (`BENCH_serve.json`) carrying
-//!   per-collector request-latency percentiles, allocation-stall time and
-//!   pause-gate counters on one seeded arrival schedule: the acceptance
-//!   evidence for the latency-SLO claim (LXR's p99.9 below the
-//!   stop-the-world baselines').
+//!   carry `granules_traced`/`objects_marked` (and, for the sticky cycle,
+//!   `granules_skipped`) extras, the acceptance evidence for sticky mode
+//!   (target: ≥ 3× fewer granules traced per sticky cycle).
+//!
+//! Whole-workload measurements are not repeated here: the `serve`, `heap`
+//! and `barrier-overhead` harness experiments are their only copy.
 //!
 //! Each record carries the bench id, collector, scheduler variant, worker
 //! count, wall-time stats over the measured iterations, and the scheduler
@@ -83,60 +70,23 @@ pub struct SnapshotConfig {
     pub iters: usize,
     /// Measured iterations for the (slower) concurrent-mark benches.
     pub mark_iters: usize,
-    /// Workload scale for the in-process barrier-overhead experiment.
-    pub barrier_scale: f64,
-    /// Workload scale for the in-process heap-elasticity experiment.
-    pub heap_scale: f64,
-    /// Workload scale for the open-loop serving benchmark
-    /// ([`serve_snapshot`], committed as `BENCH_serve.json`).
-    pub serve_scale: f64,
 }
 
 impl SnapshotConfig {
     /// Full-size run; this is what the committed `BENCH_sched.json` should
     /// contain.
     pub fn full() -> Self {
-        Self {
-            sweep_blocks: 512,
-            mark_blocks: 192,
-            tree_limit: 4096,
-            warmup: 2,
-            iters: 9,
-            mark_iters: 5,
-            barrier_scale: 0.02,
-            heap_scale: 0.5,
-            serve_scale: 1.0,
-        }
+        Self { sweep_blocks: 512, mark_blocks: 192, tree_limit: 4096, warmup: 2, iters: 9, mark_iters: 5 }
     }
 
     /// Reduced sizes for `--quick` smoke runs.
     pub fn quick() -> Self {
-        Self {
-            sweep_blocks: 128,
-            mark_blocks: 48,
-            tree_limit: 1024,
-            warmup: 1,
-            iters: 5,
-            mark_iters: 3,
-            barrier_scale: 0.01,
-            heap_scale: 0.2,
-            serve_scale: 0.25,
-        }
+        Self { sweep_blocks: 128, mark_blocks: 48, tree_limit: 1024, warmup: 1, iters: 5, mark_iters: 3 }
     }
 
     /// Tiny sizes for unit tests.
     pub fn tiny() -> Self {
-        Self {
-            sweep_blocks: 8,
-            mark_blocks: 2,
-            tree_limit: 32,
-            warmup: 0,
-            iters: 2,
-            mark_iters: 1,
-            barrier_scale: 0.002,
-            heap_scale: 0.05,
-            serve_scale: 0.04,
-        }
+        Self { sweep_blocks: 8, mark_blocks: 2, tree_limit: 32, warmup: 0, iters: 2, mark_iters: 1 }
     }
 }
 
@@ -576,80 +526,13 @@ fn bench_metadata_scan(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     }
 }
 
-fn bench_barrier_overhead(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
-    let options = crate::experiments::ExperimentOptions {
-        scale: cfg.barrier_scale,
-        seed: 42,
-        ..crate::experiments::ExperimentOptions::quick()
-    };
-    let wall = time_iters(cfg.warmup.min(1), cfg.mark_iters, || {
-        black_box(crate::experiments::barrier_overhead(&options));
-    });
-    out.push(BenchRecord {
-        id: format!("barrier_overhead/scale_{}m", (cfg.barrier_scale * 1000.0) as u64),
-        scheduler: "harness",
-        workers: 0,
-        wall_ns: wall,
-        counters: SchedTotals::default(),
-        extras: Vec::new(),
-    });
-}
-
-/// The sticky-vs-full comparison extracted by [`bench_sticky_trace`]: how
-/// much tracing work one sticky (generational) cycle does compared to a
-/// full-heap trace over the same heap.
-struct TraceComparison {
-    mature_blocks: usize,
-    nursery_blocks: usize,
-    mature_objects: usize,
-    young_objects: usize,
-    full_wall_ns: u64,
-    full_granules: u64,
-    full_marked: u64,
-    sticky_wall_ns: u64,
-    sticky_granules: u64,
-    sticky_marked: u64,
-    sticky_skipped: u64,
-}
-
-impl TraceComparison {
-    fn granule_reduction(&self) -> f64 {
-        self.full_granules as f64 / self.sticky_granules.max(1) as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"lxr-bench-trace-v1\",\n  \"created_by\": \"lxr-harness {}\",\n  \
-             \"host\": {},\n  \"workload\": {{ \"mature_blocks\": {}, \"nursery_blocks\": {}, \
-             \"mature_objects\": {}, \"young_objects\": {} }},\n  \"full\": {{ \"wall_ns_median\": {}, \
-             \"granules_traced\": {}, \"objects_marked\": {} }},\n  \"sticky\": {{ \"wall_ns_median\": {}, \
-             \"granules_traced\": {}, \"objects_marked\": {}, \"granules_skipped\": {} }},\n  \
-             \"reduction\": {{ \"granules_traced\": {:.2}, \"target\": 3.0 }}\n}}\n",
-            env!("CARGO_PKG_VERSION"),
-            host_fingerprint(),
-            self.mature_blocks,
-            self.nursery_blocks,
-            self.mature_objects,
-            self.young_objects,
-            self.full_wall_ns,
-            self.full_granules,
-            self.full_marked,
-            self.sticky_wall_ns,
-            self.sticky_granules,
-            self.sticky_marked,
-            self.sticky_skipped,
-            self.granule_reduction(),
-        )
-    }
-}
-
 /// A full-heap trace vs a sticky cycle over the same heap: a mature graph
 /// (as in `concurrent_mark`) plus a nursery epoch one eighth its size,
 /// wired in from mature slots exactly the way the field-logging barrier
 /// records them.  Each sticky iteration re-creates the steady state — young
 /// granules unmarked, mature marks carried, the sticky remembered set
 /// re-armed — so the measured work is one generational cycle.
-fn bench_sticky_trace(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) -> TraceComparison {
+fn bench_sticky_trace(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     let state = make_state_with(32 << 20, LxrConfig::default().sticky());
     let g = state.geometry;
     let mature = build_mark_graph(&state, 2, cfg.mark_blocks);
@@ -696,11 +579,6 @@ fn bench_sticky_trace(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) -> Trace
             full_marked = marked;
         }
     }
-    let median = |mut v: Vec<u64>| {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let full_wall_ns = median(wall.clone());
     out.push(BenchRecord {
         id: "sticky_trace/full".to_string(),
         scheduler: "sequential",
@@ -746,7 +624,7 @@ fn bench_sticky_trace(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) -> Trace
         id: "sticky_trace/sticky_nursery".to_string(),
         scheduler: "sequential",
         workers: 0,
-        wall_ns: wall.clone(),
+        wall_ns: wall,
         counters: SchedTotals::default(),
         extras: vec![
             ("granules_traced", sticky_granules),
@@ -754,206 +632,6 @@ fn bench_sticky_trace(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) -> Trace
             ("granules_skipped", sticky_skipped),
         ],
     });
-
-    TraceComparison {
-        mature_blocks: cfg.mark_blocks,
-        nursery_blocks,
-        mature_objects: mature.len(),
-        young_objects: young.len(),
-        full_wall_ns,
-        full_granules,
-        full_marked,
-        sticky_wall_ns: median(wall),
-        sticky_granules,
-        sticky_marked,
-        sticky_skipped,
-    }
-}
-
-/// One traffic-spike run's elasticity evidence, extracted from the
-/// workload result for [`HeapComparison`].
-struct HeapRunStats {
-    wall_ns: u64,
-    chunks_lo: usize,
-    chunks_hi: usize,
-    chunks_end: usize,
-    chunks_mapped: u64,
-    chunks_released: u64,
-    trigger_predictive: u64,
-    trigger_exhaustion: u64,
-    /// Mapped-chunk count at the end of every pause, in pause order — the
-    /// footprint-over-time series.
-    footprint: Vec<usize>,
-}
-
-impl HeapRunStats {
-    fn to_json(&self) -> String {
-        let footprint: Vec<String> = self.footprint.iter().map(usize::to_string).collect();
-        format!(
-            "{{ \"wall_ns\": {}, \"chunks\": {{ \"lo\": {}, \"hi\": {}, \"end\": {} }}, \
-             \"chunks_mapped\": {}, \"chunks_released\": {}, \"trigger_predictive\": {}, \
-             \"trigger_exhaustion\": {}, \"mapped_chunks_per_gc\": [{}] }}",
-            self.wall_ns,
-            self.chunks_lo,
-            self.chunks_hi,
-            self.chunks_end,
-            self.chunks_mapped,
-            self.chunks_released,
-            self.trigger_predictive,
-            self.trigger_exhaustion,
-            footprint.join(", "),
-        )
-    }
-}
-
-/// The elastic-vs-fixed comparison extracted by [`bench_heap_elasticity`]:
-/// the same traffic-spike workload on an elastic 1×..3× heap and on a
-/// fixed-extent heap at the elastic maximum.
-struct HeapComparison {
-    heap_min_bytes: usize,
-    heap_max_bytes: usize,
-    scale: f64,
-    elastic: HeapRunStats,
-    fixed: HeapRunStats,
-}
-
-impl HeapComparison {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"lxr-bench-heap-v1\",\n  \"created_by\": \"lxr-harness {}\",\n  \
-             \"host\": {},\n  \"workload\": {{ \"benchmark\": \"trafficspike\", \"collector\": \"lxr\", \
-             \"scale\": {}, \"heap_min_bytes\": {}, \"heap_max_bytes\": {} }},\n  \
-             \"elastic\": {},\n  \"fixed\": {},\n  \
-             \"elasticity\": {{ \"chunk_swing\": {}, \"chunks_released\": {}, \
-             \"predictive_minus_exhaustion\": {} }}\n}}\n",
-            env!("CARGO_PKG_VERSION"),
-            host_fingerprint(),
-            self.scale,
-            self.heap_min_bytes,
-            self.heap_max_bytes,
-            self.elastic.to_json(),
-            self.fixed.to_json(),
-            self.elastic.chunks_hi - self.elastic.chunks_lo,
-            self.elastic.chunks_released,
-            self.elastic.trigger_predictive as i64 - self.elastic.trigger_exhaustion as i64,
-        )
-    }
-}
-
-/// Runs the traffic-spike workload under LXR, elastic (1×..3× the minimum
-/// heap) and fixed (at the 3× maximum), and extracts the elasticity
-/// evidence.  Unlike the other groups this one measures a whole workload
-/// run, so it runs once per configuration rather than over timed
-/// iterations; the interesting numbers are the chunk counters and the
-/// footprint series, not the wall time.
-fn bench_heap_elasticity(cfg: &SnapshotConfig) -> HeapComparison {
-    let spec = lxr_workloads::traffic_spike();
-    let run = |elastic: bool| {
-        let options = lxr_workloads::RunOptions {
-            heap_factor: 3.0,
-            scale: cfg.heap_scale,
-            seed: 42,
-            min_heap_factor: elastic.then_some(1.0),
-            ..lxr_workloads::RunOptions::default()
-        }
-        .with_runtime(|r| r.with_gc_workers(2));
-        let r = lxr_workloads::run_workload(&spec, "lxr", &options);
-        assert!(r.failure.is_none(), "heap-elasticity bench integrity failure: {:?}", r.failure);
-        let footprint: Vec<usize> = r.gc.pauses.iter().map(|p| p.mapped_chunks).collect();
-        HeapRunStats {
-            wall_ns: r.wall_time.as_nanos() as u64,
-            chunks_lo: footprint.iter().copied().min().unwrap_or(0),
-            chunks_hi: footprint.iter().copied().max().unwrap_or(0),
-            chunks_end: footprint.last().copied().unwrap_or(0),
-            chunks_mapped: r.gc.counter(WorkCounter::ChunksMapped),
-            chunks_released: r.gc.counter(WorkCounter::ChunksReleased),
-            trigger_predictive: r.gc.counter(WorkCounter::TriggerPredictive),
-            trigger_exhaustion: r.gc.counter(WorkCounter::TriggerExhaustion),
-            footprint,
-        }
-    };
-    HeapComparison {
-        heap_min_bytes: spec.heap_bytes(1.0),
-        heap_max_bytes: spec.heap_bytes(3.0),
-        scale: cfg.heap_scale,
-        elastic: run(true),
-        fixed: run(false),
-    }
-}
-
-/// Runs the open-loop serving benchmark across [`SERVE_COLLECTORS`] on the
-/// same seeded arrival schedule and renders a fourth snapshot document
-/// (committed as `BENCH_serve.json`): per-collector request-latency
-/// percentiles and allocation-stall time as `"id"`/`"median"` records —
-/// the same line shape as the scheduler snapshot, so [`parse_snapshot`]
-/// and [`diff`] work on it unchanged — plus the offered-load fingerprint
-/// and the pause-gate counters.
-///
-/// [`SERVE_COLLECTORS`]: crate::experiments::SERVE_COLLECTORS
-pub fn serve_snapshot(cfg: &SnapshotConfig) -> String {
-    let spec = lxr_workloads::serve_spec();
-    let options = lxr_workloads::ServeOptions::default().with_scale(cfg.serve_scale).with_seed(42);
-
-    let unix_time =
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"lxr-bench-serve-v1\",\n");
-    doc.push_str(&format!("  \"created_by\": \"lxr-harness {}\",\n", env!("CARGO_PKG_VERSION")));
-    doc.push_str(&format!("  \"unix_time\": {unix_time},\n"));
-    doc.push_str(&format!("  \"host\": {},\n", host_fingerprint()));
-
-    let mut digest = None;
-    let mut records: Vec<String> = Vec::new();
-    let mut headers: Vec<String> = Vec::new();
-    for collector in crate::experiments::SERVE_COLLECTORS {
-        let r = lxr_workloads::run_serve(&spec, collector, &options);
-        assert!(!r.skipped, "{collector} skipped the serving benchmark");
-        assert!(r.failure.is_none(), "{collector} serve integrity failure: {:?}", r.failure);
-        // Every collector must have been offered the identical load.
-        match digest {
-            None => digest = Some(r.schedule_digest),
-            Some(d) => assert_eq!(d, r.schedule_digest, "offered schedules diverged"),
-        }
-        headers.push(format!(
-            "    {{ \"collector\": \"{collector}\", \"qps\": {:.0}, \"requests\": {}, \
-             \"gate\": {{ \"parked\": {}, \"boundary\": {}, \"kicks\": {} }} }}",
-            r.qps,
-            r.requests,
-            r.gc.counter(WorkCounter::GateDeferredTriggers),
-            r.gc.counter(WorkCounter::GateBoundaryPauses),
-            r.gc.counter(WorkCounter::GateKicks),
-        ));
-        for (metric, value) in [
-            ("p50", r.percentile(50.0)),
-            ("p99", r.percentile(99.0)),
-            ("p99_9", r.percentile(99.9)),
-            ("max", r.histogram.max()),
-            ("alloc_stall", r.alloc_stall_time),
-        ] {
-            records.push(format!(
-                "    {{ \"id\": \"serve/{collector}/{metric}\", \"collector\": \"{collector}\", \
-                 \"wall_ns\": {{ \"median\": {} }} }}",
-                value.as_nanos()
-            ));
-        }
-    }
-
-    doc.push_str(&format!(
-        "  \"workload\": {{ \"name\": \"{}\", \"scale\": {}, \"seed\": 42, \"workers\": {}, \
-         \"schedule_digest\": {} }},\n",
-        spec.name,
-        cfg.serve_scale,
-        spec.workers,
-        digest.expect("at least one collector ran"),
-    ));
-    doc.push_str("  \"collectors\": [\n");
-    doc.push_str(&headers.join(",\n"));
-    doc.push_str("\n  ],\n");
-    doc.push_str("  \"benches\": [\n");
-    doc.push_str(&records.join(",\n"));
-    doc.push_str("\n  ]\n}\n");
-    doc
 }
 
 fn host_fingerprint() -> String {
@@ -976,19 +654,15 @@ fn host_fingerprint() -> String {
     )
 }
 
-/// Runs every bench configuration; returns the wall-time snapshot document
-/// (committed as `BENCH_sched.json`), the sticky-vs-full trace comparison
-/// document (committed as `BENCH_trace.json`) and the elastic-heap
-/// comparison document (committed as `BENCH_heap.json`).
-pub fn snapshot(cfg: &SnapshotConfig) -> (String, String, String) {
+/// Runs every bench configuration; returns the snapshot document
+/// (committed as `BENCH_sched.json`).
+pub fn snapshot(cfg: &SnapshotConfig) -> String {
     let mut records = Vec::new();
     bench_sweep(cfg, &mut records);
     bench_increment_tree(cfg, &mut records);
     bench_concurrent_mark(cfg, &mut records);
     bench_metadata_scan(cfg, &mut records);
-    bench_barrier_overhead(cfg, &mut records);
-    let comparison = bench_sticky_trace(cfg, &mut records);
-    let heap_comparison = bench_heap_elasticity(cfg);
+    bench_sticky_trace(cfg, &mut records);
 
     let unix_time =
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
@@ -1005,7 +679,7 @@ pub fn snapshot(cfg: &SnapshotConfig) -> (String, String, String) {
         doc.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
     doc.push_str("  ]\n}\n");
-    (doc, comparison.to_json(), heap_comparison.to_json())
+    doc
 }
 
 /// Extracts `"key": "value"` from a record line.
@@ -1037,15 +711,29 @@ pub fn parse_snapshot(text: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
+/// The host fingerprint object of a snapshot document, as written.
+fn host_of(text: &str) -> Option<&str> {
+    text.lines().find_map(|line| line.trim().strip_prefix("\"host\": ")).map(|h| h.trim_end_matches(','))
+}
+
 /// Compares two snapshot documents; returns the human-readable report and
 /// the number of benches whose median wall time regressed by more than
-/// [`REGRESSION_THRESHOLD`].
+/// [`REGRESSION_THRESHOLD`].  The report opens with a `host differs` line
+/// when the two documents' host fingerprints disagree.
 pub fn diff(old_text: &str, new_text: &str) -> (String, usize) {
     let old = parse_snapshot(old_text);
     let new = parse_snapshot(new_text);
     let mut report = String::new();
     let mut regressions = 0usize;
 
+    let (old_host, new_host) = (host_of(old_text), host_of(new_text));
+    if old_host != new_host {
+        report.push_str(&format!(
+            "host differs: {} vs {}\n",
+            old_host.unwrap_or("unknown"),
+            new_host.unwrap_or("unknown")
+        ));
+    }
     report.push_str(&format!("{:<56} {:>12} {:>12} {:>8}\n", "bench", "old med ns", "new med ns", "delta"));
     for (id, new_median) in &new {
         match old.iter().find(|(oid, _)| oid == id) {
@@ -1093,12 +781,12 @@ mod tests {
 
     #[test]
     fn snapshot_is_parseable_and_covers_every_group() {
-        let (doc, trace_doc, heap_doc) = snapshot(&SnapshotConfig::tiny());
+        let doc = snapshot(&SnapshotConfig::tiny());
         let parsed = parse_snapshot(&doc);
         // 5 sweep + 4 tree + 5 mark + 25 metadata (9 kernels × swar and
-        // dispatched, plus scalar for the 7 with a scalar model) + 1
-        // barrier + 2 sticky configurations.
-        assert_eq!(parsed.len(), 42, "unexpected bench count in:\n{doc}");
+        // dispatched, plus scalar for the 7 with a scalar model) + 2 sticky
+        // configurations.
+        assert_eq!(parsed.len(), 41, "unexpected bench count in:\n{doc}");
         assert!(parsed.iter().any(|(id, _)| id.contains("sweep_blocks") && id.ends_with("sequential")));
         assert!(parsed.iter().any(|(id, _)| id.contains("buckets/4w")));
         assert!(parsed.iter().any(|(id, _)| id.contains("crew/8w")));
@@ -1115,42 +803,12 @@ mod tests {
         ] {
             assert!(parsed.iter().any(|(p, _)| *p == format!("metadata_scan/{id}")), "no metadata_scan/{id}");
         }
-        assert!(parsed.iter().any(|(id, _)| id.starts_with("barrier_overhead/")));
+        assert!(!parsed.iter().any(|(id, _)| id.starts_with("barrier_overhead/")));
         assert!(parsed.iter().any(|(id, _)| id == "sticky_trace/full"));
         assert!(parsed.iter().any(|(id, _)| id == "sticky_trace/sticky_nursery"));
         assert!(doc.contains("\"schema\": \"lxr-bench-snapshot-v1\""));
         assert!(doc.contains("\"host\": {"));
         assert!(doc.contains("\"granules_traced\": "));
-        assert!(trace_doc.contains("\"schema\": \"lxr-bench-trace-v1\""));
-        assert!(heap_doc.contains("\"schema\": \"lxr-bench-heap-v1\""));
-        assert!(heap_doc.contains("\"mapped_chunks_per_gc\": ["));
-        assert!(heap_doc.contains("\"elastic\": {"));
-        assert!(heap_doc.contains("\"fixed\": {"));
-    }
-
-    #[test]
-    fn heap_elasticity_grows_and_shrinks_at_quick_scale() {
-        // The acceptance shape of the elastic heap at test scale: the
-        // traffic-spike bursts map chunks beyond the 1× floor, the idle
-        // phases release some of them again, and the predictor keeps the
-        // exhaustion trigger from ever leading.  The committed full-scale
-        // numbers live in BENCH_heap.json.
-        let comparison = bench_heap_elasticity(&SnapshotConfig::quick());
-        let e = &comparison.elastic;
-        assert!(e.chunks_hi > e.chunks_lo, "footprint never moved: {:?}", e.footprint);
-        assert!(e.chunks_released > 0, "idle phases must release cold chunks");
-        // Both spike threads allocate at once, and the trigger reads an
-        // allocation volume that trails each of them by up to one region:
-        // still no allocator may run dry.  (That the predictive trigger
-        // fires at all is pinned where it has margin, in lxr-core's
-        // `two_allocating_mutators_are_collected_ahead_of_exhaustion`: at
-        // this scale it fires only 0-3 times in 13 pauses.)
-        assert_eq!(e.trigger_exhaustion, 0, "an allocator ran dry before a pacing trigger fired");
-        // The fixed-extent control maps everything up front and never
-        // releases: its footprint series is flat.
-        let f = &comparison.fixed;
-        assert_eq!(f.chunks_released, 0);
-        assert_eq!(f.chunks_lo, f.chunks_hi, "fixed heap footprint must be flat");
     }
 
     #[test]
@@ -1159,41 +817,29 @@ mod tests {
         // nursery is one eighth of the mature graph (tiny rounds it up to
         // half), so a sticky cycle must trace at most a third of the
         // granules a full-heap trace does.  The committed full-scale
-        // numbers live in BENCH_trace.json.
+        // numbers are the `sticky_trace/*` records of BENCH_sched.json.
         let mut records = Vec::new();
-        let comparison = bench_sticky_trace(&SnapshotConfig::tiny(), &mut records);
+        bench_sticky_trace(&SnapshotConfig::tiny(), &mut records);
         assert_eq!(records.len(), 2);
-        assert!(comparison.full_granules > 0);
-        assert!(comparison.sticky_granules > 0);
-        assert!(comparison.sticky_skipped > 0, "mature marks must carry into the sticky cycle");
-        assert!(
-            comparison.granule_reduction() >= 2.9,
-            "sticky cycle traced {} of {} granules (reduction {:.2}x)",
-            comparison.sticky_granules,
-            comparison.full_granules,
-            comparison.granule_reduction()
+        let extra = |r: &BenchRecord, key: &str| {
+            r.extras.iter().find(|(k, _)| *k == key).unwrap_or_else(|| panic!("{} has no {key}", r.id)).1
+        };
+        let (full, sticky) = (&records[0], &records[1]);
+        assert_eq!(
+            (full.id.as_str(), sticky.id.as_str()),
+            ("sticky_trace/full", "sticky_trace/sticky_nursery")
         );
-        assert!(comparison.sticky_marked < comparison.full_marked);
-        let doc = comparison.to_json();
-        assert!(doc.contains("\"reduction\""));
-        assert!(doc.contains("\"granules_skipped\""));
-    }
-
-    #[test]
-    fn serve_snapshot_is_parseable_and_diffable() {
-        let doc = serve_snapshot(&SnapshotConfig::tiny());
-        let parsed = parse_snapshot(&doc);
-        // 4 collectors × (p50, p99, p99.9, max, alloc_stall).
-        assert_eq!(parsed.len(), 20, "unexpected serve record count in:\n{doc}");
-        assert!(parsed.iter().any(|(id, _)| id == "serve/lxr/p99_9"));
-        assert!(parsed.iter().any(|(id, _)| id == "serve/shenandoah/alloc_stall"));
-        assert!(doc.contains("\"schema\": \"lxr-bench-serve-v1\""));
-        assert!(doc.contains("\"schedule_digest\": "));
-        assert!(doc.contains("\"gate\": {"));
-        // The serve document diffs with the same machinery as the
-        // scheduler snapshot.
-        let (report, regressions) = diff(&doc, &doc);
-        assert_eq!(regressions, 0, "{report}");
+        let full_granules = extra(full, "granules_traced");
+        let sticky_granules = extra(sticky, "granules_traced");
+        assert!(full_granules > 0);
+        assert!(sticky_granules > 0);
+        assert!(extra(sticky, "granules_skipped") > 0, "mature marks must carry into the sticky cycle");
+        let reduction = full_granules as f64 / sticky_granules as f64;
+        assert!(
+            reduction >= 2.9,
+            "sticky cycle traced {sticky_granules} of {full_granules} granules (reduction {reduction:.2}x)"
+        );
+        assert!(extra(sticky, "objects_marked") < extra(full, "objects_marked"));
     }
 
     #[test]
@@ -1211,6 +857,26 @@ mod tests {
         assert!(report.contains("REGRESSION"));
         assert!(report.contains("(new bench)"));
         assert!(report.contains("gone"));
+    }
+
+    #[test]
+    fn diff_reports_a_host_change_without_counting_it() {
+        let doc = |cpus: u32| {
+            format!(
+                "{{\n  \"host\": {{ \"os\": \"linux\", \"cpus\": {cpus} }},\n  \"benches\": [\n\
+                 {{ \"id\": \"a\", \"wall_ns\": {{ \"median\": 1000, \"min\": 1, \"mean\": 1 }} }}\n] }}"
+            )
+        };
+        let (report, regressions) = diff(&doc(1), &doc(2));
+        assert_eq!(regressions, 0, "{report}");
+        assert!(
+            report.starts_with(
+                "host differs: { \"os\": \"linux\", \"cpus\": 1 } vs { \"os\": \"linux\", \"cpus\": 2 }\n"
+            ),
+            "{report}"
+        );
+        let (report, _) = diff(&doc(2), &doc(2));
+        assert!(!report.contains("host differs"), "{report}");
     }
 
     #[test]

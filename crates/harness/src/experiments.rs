@@ -700,7 +700,7 @@ pub fn heap_elasticity(options: &ExperimentOptions) -> Table {
 /// The collectors the serving benchmark compares: the paper's collector
 /// against its stickied variant and the two baselines whose pause profiles
 /// bracket it (generational stop-the-world and concurrent copying).
-pub const SERVE_COLLECTORS: &[&str] = &["lxr", "lxr-sticky", "g1", "shenandoah"];
+const SERVE_COLLECTORS: &[&str] = &["lxr", "lxr-sticky", "g1", "shenandoah"];
 
 /// [`run_serve`] with the same integrity reporting as [`run_checked`].
 fn run_serve_checked(spec: &ServeSpec, collector: &str, options: &ServeOptions) -> ServeResult {

@@ -8,8 +8,7 @@
 //! experiments: table1 table3 table4 table5 table6 table7 fig7
 //!              barrier-overhead sensitivity socialgraph heap serve chaos all
 //!
-//! lxr-harness bench-snapshot [--quick] [OUT.json] [TRACE_OUT.json] [HEAP_OUT.json] [SERVE_OUT.json]
-//!        (defaults BENCH_sched.json BENCH_trace.json BENCH_heap.json BENCH_serve.json)
+//! lxr-harness bench-snapshot [--quick] [OUT.json]     (default BENCH_sched.json)
 //! lxr-harness bench-diff OLD.json NEW.json
 //! ```
 //!
@@ -22,10 +21,11 @@
 //! with `--features failpoints` for the schedules to fire).  The harness
 //! exits non-zero if any workload reports an integrity failure.
 //!
-//! `bench-snapshot` re-runs the microbenchmarks in-process and writes
-//! a machine-readable JSON snapshot (wall times, work counters, host
-//! fingerprint); `bench-diff` compares two snapshots and exits non-zero if
-//! any bench's median wall time regressed by more than 5%.
+//! `bench-snapshot` re-runs the microbenchmarks in-process and writes one
+//! machine-readable JSON snapshot (wall times, work counters, host
+//! fingerprint) to one path; `bench-diff` compares two snapshots, notes a
+//! host change, and exits non-zero if any bench's median wall time
+//! regressed by more than 5%.
 
 use lxr_harness::experiments::{self, ExperimentOptions};
 
@@ -38,28 +38,21 @@ fn main() {
     // The bench subcommands are terminal: they never run experiments.
     match requested.first().map(String::as_str) {
         Some("bench-snapshot") => {
+            if requested.len() > 2 {
+                eprintln!("bench-snapshot takes at most one output path, got {:?}", &requested[1..]);
+                std::process::exit(2);
+            }
             let out = requested.get(1).cloned().unwrap_or_else(|| "BENCH_sched.json".to_string());
-            let trace_out = requested.get(2).cloned().unwrap_or_else(|| "BENCH_trace.json".to_string());
-            let heap_out = requested.get(3).cloned().unwrap_or_else(|| "BENCH_heap.json".to_string());
-            let serve_out = requested.get(4).cloned().unwrap_or_else(|| "BENCH_serve.json".to_string());
             let cfg = if quick {
                 lxr_harness::benchsnap::SnapshotConfig::quick()
             } else {
                 lxr_harness::benchsnap::SnapshotConfig::full()
             };
-            eprintln!("running scheduler bench snapshot ({cfg:?})...");
-            let (doc, trace_doc, heap_doc) = lxr_harness::benchsnap::snapshot(&cfg);
-            eprintln!("running serving bench snapshot...");
-            let serve_doc = lxr_harness::benchsnap::serve_snapshot(&cfg);
+            eprintln!("running bench snapshot ({cfg:?})...");
+            let doc = lxr_harness::benchsnap::snapshot(&cfg);
             std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-            std::fs::write(&trace_out, &trace_doc).unwrap_or_else(|e| panic!("writing {trace_out}: {e}"));
-            std::fs::write(&heap_out, &heap_doc).unwrap_or_else(|e| panic!("writing {heap_out}: {e}"));
-            std::fs::write(&serve_out, &serve_doc).unwrap_or_else(|e| panic!("writing {serve_out}: {e}"));
             println!("{doc}");
-            println!("{trace_doc}");
-            println!("{heap_doc}");
-            println!("{serve_doc}");
-            eprintln!("wrote {out}, {trace_out}, {heap_out} and {serve_out}");
+            eprintln!("wrote {out}");
             return;
         }
         Some("bench-diff") => {

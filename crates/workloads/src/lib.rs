@@ -142,6 +142,54 @@ mod tests {
     }
 
     #[test]
+    fn heap_elasticity_grows_and_shrinks_at_quick_scale() {
+        // The acceptance shape of the elastic heap at test scale: the
+        // traffic-spike bursts map chunks beyond the 1× floor, the idle
+        // phases release some of them again, and the predictor keeps the
+        // exhaustion trigger from ever leading.  The same comparison at
+        // harness scale is the `heap` experiment.
+        let spec = traffic_spike();
+        let run = |min_heap_factor: Option<f64>| {
+            let options = RunOptions {
+                heap_factor: 3.0,
+                scale: 0.2,
+                seed: 42,
+                min_heap_factor,
+                ..RunOptions::default()
+            }
+            .with_runtime(|r| r.with_gc_workers(2));
+            let result = run_workload(&spec, "lxr", &options);
+            assert!(result.failure.is_none(), "heap-elasticity integrity failure: {:?}", result.failure);
+            let footprint: Vec<usize> = result.gc.pauses.iter().map(|p| p.mapped_chunks).collect();
+            let lo = footprint.iter().copied().min().unwrap_or(0);
+            let hi = footprint.iter().copied().max().unwrap_or(0);
+            (footprint, lo, hi, result)
+        };
+        let (footprint, lo, hi, elastic) = run(Some(1.0));
+        assert!(hi > lo, "footprint never moved: {footprint:?}");
+        assert!(
+            elastic.gc.counter(lxr_runtime::WorkCounter::ChunksReleased) > 0,
+            "idle phases must release cold chunks"
+        );
+        // Both spike threads allocate at once, and the trigger reads an
+        // allocation volume that trails each of them by up to one region:
+        // still no allocator may run dry.  (That the predictive trigger
+        // fires at all is pinned where it has margin, in lxr-core's
+        // `two_allocating_mutators_are_collected_ahead_of_exhaustion`: at
+        // this scale it fires only 0-3 times in 13 pauses.)
+        assert_eq!(
+            elastic.gc.counter(lxr_runtime::WorkCounter::TriggerExhaustion),
+            0,
+            "an allocator ran dry before a pacing trigger fired"
+        );
+        // The fixed-extent control maps everything up front and never
+        // releases: its footprint series is flat.
+        let (_, lo, hi, fixed) = run(None);
+        assert_eq!(fixed.gc.counter(lxr_runtime::WorkCounter::ChunksReleased), 0);
+        assert_eq!(lo, hi, "fixed heap footprint must be flat");
+    }
+
+    #[test]
     fn chunk_release_racing_allocation_degrades_cleanly_under_failpoints() {
         // The pinned chunk-churn schedule from the harness chaos suite:
         // delays inside the chunk-map transition and yields inside chunk
