@@ -639,9 +639,20 @@ impl PlanMutator for ConcurrentCopyMutator {
         self.barrier.write(src.to_address().plus(1 + index), value);
     }
 
+    /// The loaded value barrier (LVB): every reference load is filtered,
+    /// healed, and (during evacuation) may copy the referent (§2.2, §2.4).
+    ///
+    /// C4, ZGC and recent Shenandoah filter *every* reference load this
+    /// way: the barrier tests whether the loaded reference points into a
+    /// region being relocated, and if so forwards the object (or copies it)
+    /// and heals the slot so later loads take the fast path.  Because
+    /// applications load reference fields roughly an order of magnitude
+    /// more often than they store them, this barrier is several times more
+    /// expensive than an object-remembering write barrier — the cost at the
+    /// heart of the paper's argument.  The slot healing is real; the cost of
+    /// the always-on check is captured by the `BarrierStats` read counters,
+    /// which the harness converts into mutator overhead.
     fn read_ref(&mut self, src: ObjectReference, index: usize) -> ObjectReference {
-        // The load value barrier: every reference load is filtered, healed,
-        // and (during evacuation) may copy the referent (§2.2, §2.4).
         self.state.barrier_stats.count_reads(1);
         let src = self.om.resolve(src);
         let slot = src.to_address().plus(1 + index);

@@ -22,31 +22,17 @@ use lxr_runtime::{
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Configuration of the generational plan.
-#[derive(Debug, Clone)]
-pub struct GenerationalConfig {
-    /// A young collection is triggered once this many bytes have been
-    /// allocated since the previous collection.
-    pub young_target_bytes: usize,
-    /// A full (old-generation) collection is triggered when more than this
-    /// fraction of the heap's blocks is in use after a young collection.
-    pub full_gc_occupancy: f64,
-}
-
-impl GenerationalConfig {
-    /// Scales the young-generation target to the heap size.
-    pub fn for_heap(heap_bytes: usize) -> Self {
-        GenerationalConfig {
-            young_target_bytes: (heap_bytes / 4).clamp(1 << 20, 64 << 20),
-            full_gc_occupancy: 0.55,
-        }
-    }
-}
+/// A full (old-generation) collection is triggered when more than this
+/// fraction of the heap's blocks is in use after a young collection.
+const FULL_GC_OCCUPANCY: f64 = 0.55;
 
 /// The G1-like generational regional plan.
 pub struct GenerationalPlan {
     state: Arc<TraceState>,
-    config: GenerationalConfig,
+    /// A young collection is triggered once this many bytes have been
+    /// allocated since the previous collection: a quarter of the heap,
+    /// clamped to 1–64 MB.
+    young_target_bytes: usize,
     log_table: Arc<FieldLogTable>,
     sink: Arc<BarrierSink>,
     barrier_stats: Arc<BarrierStats>,
@@ -55,29 +41,16 @@ pub struct GenerationalPlan {
 
 impl std::fmt::Debug for GenerationalPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GenerationalPlan").field("config", &self.config).finish_non_exhaustive()
+        f.debug_struct("GenerationalPlan")
+            .field("young_target_bytes", &self.young_target_bytes)
+            .finish_non_exhaustive()
     }
 }
 
 impl GenerationalPlan {
-    /// Creates the plan with an explicit configuration.
-    pub fn with_config(ctx: PlanContext, config: GenerationalConfig) -> Self {
-        GenerationalPlan {
-            log_table: Arc::new(FieldLogTable::for_space(&ctx.space)),
-            sink: Arc::new(BarrierSink::new()),
-            barrier_stats: Arc::new(BarrierStats::new()),
-            state: Arc::new(TraceState::new(&ctx)),
-            config,
-            words_at_last_gc: AtomicUsize::new(0),
-        }
-    }
-
     /// A factory closure for [`lxr_runtime::Runtime::with_factory`].
     pub fn factory() -> impl FnOnce(PlanContext) -> Arc<dyn lxr_runtime::Plan> {
-        |ctx| {
-            let config = GenerationalConfig::for_heap(ctx.options.heap.heap_bytes);
-            Arc::new(GenerationalPlan::with_config(ctx, config)) as Arc<dyn lxr_runtime::Plan>
-        }
+        |ctx| Arc::new(GenerationalPlan::build(ctx)) as Arc<dyn lxr_runtime::Plan>
     }
 
     /// Barrier statistics.
@@ -321,7 +294,7 @@ impl Plan for GenerationalPlan {
             .allocated_words()
             .saturating_sub(self.words_at_last_gc.load(Ordering::Relaxed)))
             * 8;
-        if allocated_bytes > self.config.young_target_bytes {
+        if allocated_bytes > self.young_target_bytes {
             return Some(GcReason::Threshold);
         }
         None
@@ -330,8 +303,8 @@ impl Plan for GenerationalPlan {
     fn collect(&self, collection: &Collection<'_>) {
         let total = self.state.blocks.total_blocks();
         let used = total - self.state.blocks.free_block_count();
-        let full = collection.reason == GcReason::Exhausted
-            || (used as f64) > self.config.full_gc_occupancy * total as f64;
+        let full =
+            collection.reason == GcReason::Exhausted || (used as f64) > FULL_GC_OCCUPANCY * total as f64;
         if full {
             self.full_collection(collection);
         } else {
@@ -351,8 +324,14 @@ impl Plan for GenerationalPlan {
 
 impl PlanFactory for GenerationalPlan {
     fn build(ctx: PlanContext) -> Self {
-        let config = GenerationalConfig::for_heap(ctx.options.heap.heap_bytes);
-        GenerationalPlan::with_config(ctx, config)
+        GenerationalPlan {
+            log_table: Arc::new(FieldLogTable::for_space(&ctx.space)),
+            sink: Arc::new(BarrierSink::new()),
+            barrier_stats: Arc::new(BarrierStats::new()),
+            young_target_bytes: (ctx.options.heap.heap_bytes / 4).clamp(1 << 20, 64 << 20),
+            state: Arc::new(TraceState::new(&ctx)),
+            words_at_last_gc: AtomicUsize::new(0),
+        }
     }
 }
 

@@ -26,7 +26,7 @@ pub mod stw;
 
 pub use common::{CopyConfig, LineMarks, TraceState};
 pub use concurrent_copy::{ConcurrentCopyPlan, ConcurrentCopyVariant};
-pub use generational::{GenerationalConfig, GenerationalPlan};
+pub use generational::GenerationalPlan;
 pub use stw::{MarkRegionPlan, StwVariant};
 
 use lxr_runtime::{Plan, PlanContext};

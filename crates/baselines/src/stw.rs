@@ -85,11 +85,6 @@ impl MarkRegionPlan {
     pub fn barrier_stats(&self) -> &Arc<BarrierStats> {
         &self.barrier_stats
     }
-
-    /// The shared tracing state (exposed for tests).
-    pub fn trace_state(&self) -> &Arc<TraceState> {
-        &self.state
-    }
 }
 
 impl Plan for MarkRegionPlan {

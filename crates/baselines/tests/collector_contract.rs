@@ -162,6 +162,8 @@ macro_rules! contract_tests {
 
 contract_tests! {
     lxr => "lxr",
+    lxr_nosatb => "lxr-nosatb",
+    lxr_nold => "lxr-nold",
     lxr_stw => "lxr-stw",
     lxr_sticky => "lxr-sticky",
     g1 => "g1",

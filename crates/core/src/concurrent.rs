@@ -401,7 +401,6 @@ fn process_gray_object(
         return; // already marked
     }
     state.stats.add(WorkCounter::ObjectsMarked, 1);
-    let satb_evac = state.config.mature_evacuation;
     state.om.scan_refs(obj, |slot, child| {
         state.stats.add(WorkCounter::SlotsTraced, 1);
         // Out-of-heap children can appear when a scan races with granule
@@ -413,7 +412,7 @@ fn process_gray_object(
         push(state.stamp(child));
         // Bootstrap the remembered set: the trace visits every pointer
         // into the evacuation set (§3.3.2).
-        if satb_evac && state.in_evac_set(child) {
+        if state.in_evac_set(child) {
             state.record_remset(slot);
         }
     });

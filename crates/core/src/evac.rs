@@ -19,8 +19,15 @@ use lxr_runtime::{Collection, WorkCounter};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Selects the evacuation set: the `max_evac_blocks` mature blocks with the
-/// lowest occupancy below the threshold (§3.3.2).
+/// Blocks whose live occupancy (estimated from the RC table) is below this
+/// fraction are candidates for an evacuation set (§3.3.2 uses 50%).
+const EVAC_OCCUPANCY_THRESHOLD: f64 = 0.5;
+
+/// Maximum number of blocks placed in an evacuation set per SATB cycle.
+const MAX_EVAC_BLOCKS: usize = 64;
+
+/// Selects the evacuation set: the [`MAX_EVAC_BLOCKS`] mature blocks with
+/// the lowest occupancy below [`EVAC_OCCUPANCY_THRESHOLD`] (§3.3.2).
 ///
 /// Selection is bounded: a quickselect
 /// (`select_nth_unstable_by`, expected O(n)) partitions the k least
@@ -35,14 +42,14 @@ pub(crate) fn select_candidates(state: &Arc<LxrState>) {
         .iter()
         .filter(|(block, s)| *s == BlockState::Mature && !queued.contains(&block.index()))
         .map(|(block, _)| (block, state.block_occupancy(block)))
-        .filter(|(_, occ)| *occ > 0.0 && *occ < state.config.evac_occupancy_threshold)
+        .filter(|(_, occ)| *occ > 0.0 && *occ < EVAC_OCCUPANCY_THRESHOLD)
         .collect();
     drop(queued);
-    let k = state.config.max_evac_blocks;
-    if candidates.len() > k {
-        candidates
-            .select_nth_unstable_by(k, |a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(k);
+    if candidates.len() > MAX_EVAC_BLOCKS {
+        candidates.select_nth_unstable_by(MAX_EVAC_BLOCKS, |a, b| {
+            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        candidates.truncate(MAX_EVAC_BLOCKS);
     }
     let mut set = state.evac_candidates.lock();
     set.clear();

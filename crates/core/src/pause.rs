@@ -450,9 +450,7 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     lxr_failpoints::failpoint!("pause.satb-reclaim");
     if state.satb_complete.load(Ordering::Acquire) {
         satb_swept_blocks = crate::satb::reclaim(state, c);
-        if state.config.mature_evacuation {
-            crate::evac::evacuate_mature(state, c);
-        }
+        crate::evac::evacuate_mature(state, c);
         if state.config.sticky {
             // Sticky mode: marks persist between traces — they record what
             // previous traces already covered, and the next sticky trace
@@ -741,7 +739,7 @@ fn first_retention(
     // Young evacuation (§3.3.2): objects in blocks that contain only young
     // objects are copied, compacting survivors and freeing whole blocks.
     let mut target = obj;
-    if state.config.young_evacuation && block_state == BlockState::Young {
+    if block_state == BlockState::Young {
         match worker.copy_alloc.lock().alloc(size) {
             Ok(to) => {
                 target = state.om.install_forwarding(obj, to, header);

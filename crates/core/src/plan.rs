@@ -18,6 +18,11 @@ use std::sync::Arc;
 /// this fraction of the allocation predicted for one epoch.
 const PREDICTIVE_LEAD: f64 = 0.5;
 
+/// Trigger an RC pause when fewer than this fraction of blocks are
+/// available (clean + recycled); a backstop against running the heap
+/// completely dry between pauses.
+const HEAP_FULL_FRACTION: f64 = 0.08;
+
 /// The LXR collector (§3): coalescing deferred reference counting over an
 /// Immix heap, brief stop-the-world RC pauses with judicious copying, lazy
 /// concurrent decrements, and an occasional concurrent SATB trace for
@@ -78,7 +83,7 @@ impl Plan for LxrPlan {
         // elastic heap grows all the way to `--heap-max` before the
         // backstop fires.
         let available = state.available_blocks();
-        let backstop_blocks = (state.config.heap_full_fraction * total as f64).max(2.0);
+        let backstop_blocks = (HEAP_FULL_FRACTION * total as f64).max(2.0);
         if (available as f64) <= backstop_blocks {
             return Some(GcReason::Threshold);
         }
@@ -107,12 +112,6 @@ impl Plan for LxrPlan {
         if predicted_survival_bytes > state.config.survival_threshold_bytes as f64 {
             return Some(GcReason::Threshold);
         }
-        // Optional increment threshold: bound the modified-field backlog.
-        if let Some(limit) = state.config.increment_threshold {
-            if state.sink.modified_fields.len() > limit {
-                return Some(GcReason::Threshold);
-            }
-        }
         None
     }
 
@@ -127,7 +126,7 @@ impl Plan for LxrPlan {
         // deferrable once `poll` reports it) still fires before exhaustion.
         let state = &self.state;
         let total = state.blocks.total_blocks();
-        let backstop_blocks = (state.config.heap_full_fraction * total as f64).max(2.0);
+        let backstop_blocks = (HEAP_FULL_FRACTION * total as f64).max(2.0);
         state.available_blocks() as f64 > 2.0 * backstop_blocks
     }
 

@@ -58,7 +58,7 @@ pub struct Predictors {
     pub live_blocks: DecayPredictor,
     /// Predicted yield of a *sticky* trace: SATB deaths per object marked.
     /// Drives the sticky→full escalation heuristic — when the prediction
-    /// decays below `LxrConfig::sticky_min_yield` while the wastage trigger
+    /// decays below `satb::STICKY_MIN_YIELD` (2%) while the wastage trigger
     /// is firing, the garbage the heuristics expect is evidently not in the
     /// nursery, so the next trace runs full-heap.  The rises-fast /
     /// falls-slow asymmetry means one lucky sticky trace restores

@@ -49,6 +49,20 @@ use lxr_runtime::{Collection, WorkCounter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Trigger an SATB trace when predicted wastage (uncollected dead mature
+/// objects plus fragmentation) exceeds this fraction of the heap.
+const MATURE_WASTAGE_THRESHOLD: f64 = 0.05;
+
+/// In sticky mode, force a full-heap trace after this many consecutive
+/// sticky traces.
+const STICKY_FULL_EVERY_N: u64 = 8;
+
+/// In sticky mode, escalate to a full trace early when the observed sticky
+/// trace yield (SATB deaths per object marked) decays below this fraction
+/// while the mature-wastage trigger is firing — the sticky trace is no
+/// longer finding the garbage that the heuristics say exists.
+const STICKY_MIN_YIELD: f64 = 0.02;
+
 /// Decides whether to start a new SATB trace at the end of an RC pause.
 ///
 /// Two triggers (§3.2.2): the *clean block* trigger (the RC pause left too
@@ -74,7 +88,7 @@ pub(crate) fn wastage_exceeds(state: &Arc<LxrState>) -> bool {
     let used = state.blocks.used_block_count() + state.blocks.recycled_block_count();
     let predicted_live = state.predictors.lock().live_blocks.value();
     let wastage = used as f64 - predicted_live;
-    wastage > state.config.mature_wastage_threshold * total as f64
+    wastage > MATURE_WASTAGE_THRESHOLD * total as f64
 }
 
 /// Decides whether the next trace must run full-heap (as opposed to
@@ -86,10 +100,10 @@ pub(crate) fn wastage_exceeds(state: &Arc<LxrState>) -> bool {
 /// * a degenerate or exhaustion pause requested one (`force_full_trace`,
 ///   consumed here) — the degraded-mode fallback must reclaim everything
 ///   reclaimable;
-/// * the `sticky_full_every_n` backstop: enough consecutive sticky traces
+/// * the [`STICKY_FULL_EVERY_N`] backstop: enough consecutive sticky traces
 ///   have run since the last full one;
 /// * the yield heuristic: the predicted sticky yield has decayed below
-///   `sticky_min_yield` while the wastage trigger is still firing — the
+///   [`STICKY_MIN_YIELD`] while the wastage trigger is still firing — the
 ///   allocation-rate proxy says garbage exists, and the sticky traces are
 ///   demonstrably not finding it in the nursery.
 pub(crate) fn next_trace_full(state: &Arc<LxrState>) -> bool {
@@ -102,11 +116,11 @@ pub(crate) fn next_trace_full(state: &Arc<LxrState>) -> bool {
     if !state.full_trace_completed.load(Ordering::Acquire) {
         return true;
     }
-    if state.sticky_since_full.load(Ordering::Relaxed) + 1 >= state.config.sticky_full_every_n {
+    if state.sticky_since_full.load(Ordering::Relaxed) + 1 >= STICKY_FULL_EVERY_N {
         return true;
     }
     let predicted_yield = state.predictors.lock().sticky_yield.value();
-    predicted_yield < state.config.sticky_min_yield && wastage_exceeds(state)
+    predicted_yield < STICKY_MIN_YIELD && wastage_exceeds(state)
 }
 
 /// Starts an SATB trace and seeds the gray set with the current roots.
@@ -126,9 +140,7 @@ pub(crate) fn start(state: &Arc<LxrState>, c: &Collection<'_>, full: bool) {
         state.discard_sticky_slots();
         state.sticky_since_full.store(0, Ordering::Relaxed);
         c.stats.add(WorkCounter::FullTraces, 1);
-        if state.config.mature_evacuation {
-            crate::evac::select_candidates(state);
-        }
+        crate::evac::select_candidates(state);
     } else {
         state.sticky_since_full.fetch_add(1, Ordering::Relaxed);
         c.stats.add(WorkCounter::StickyTraces, 1);

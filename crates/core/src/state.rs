@@ -168,7 +168,7 @@ pub struct LxrState {
     /// consumed when the next trace starts.
     pub force_full_trace: AtomicBool,
     /// Consecutive sticky traces since the last full trace (drives the
-    /// `sticky_full_every_n` escalation backstop).
+    /// `satb::STICKY_FULL_EVERY_N` escalation backstop).
     pub sticky_since_full: AtomicU64,
     /// `ObjectsMarked` counter value snapshot at trace start, so trace
     /// yield can be computed per-cycle.

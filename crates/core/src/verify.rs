@@ -335,10 +335,7 @@ mod tests {
     }
 
     fn roots_of(roots: &[ObjectReference]) -> RootSet {
-        RootSet {
-            mutator_roots: vec![Arc::new(Mutex::new(roots.to_vec()))],
-            global_roots: Arc::new(Mutex::new(Vec::new())),
-        }
+        RootSet { mutator_roots: vec![Arc::new(Mutex::new(roots.to_vec()))] }
     }
 
     fn obj_at(s: &Arc<LxrState>, word: usize, nrefs: u16, ndata: u16) -> ObjectReference {

@@ -101,6 +101,52 @@ impl ExperimentOptions {
     }
 }
 
+/// One experiment the CLI runs by name.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name given on the command line.
+    pub name: &'static str,
+    /// Whether `all` runs it.
+    pub in_all: bool,
+    /// Runs the experiment and returns its table.
+    pub run: fn(&ExperimentOptions) -> Table,
+}
+
+/// Every experiment the CLI knows, in the order `all` runs them.  The one
+/// list both dispatch and argument validation read.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment { name: "table3", in_all: true, run: |_| table3_characteristics() },
+    Experiment { name: "table1", in_all: true, run: |o| table1_lusearch(o).0 },
+    Experiment { name: "table4", in_all: true, run: |o| table4_latency(o).0 },
+    Experiment { name: "table5", in_all: true, run: table5_heap_sensitivity },
+    Experiment { name: "table6", in_all: true, run: |o| table6_throughput(o).0 },
+    Experiment { name: "table7", in_all: true, run: table7_breakdown },
+    Experiment { name: "fig7", in_all: true, run: fig7_lbo },
+    Experiment { name: "barrier-overhead", in_all: true, run: barrier_overhead },
+    Experiment { name: "sensitivity", in_all: true, run: sensitivity },
+    Experiment { name: "socialgraph", in_all: true, run: social_graph },
+    Experiment { name: "heap", in_all: true, run: heap_elasticity },
+    Experiment { name: "serve", in_all: true, run: |o| serve(o).0 },
+    // `chaos` is opt-in: it is not part of `all` because its fault schedules
+    // are inert (and its table all-`survived`) without `--features failpoints`.
+    Experiment { name: "chaos", in_all: false, run: chaos },
+];
+
+/// The experiments `requested` names, in [`EXPERIMENTS`] order; `all`
+/// selects every experiment with [`Experiment::in_all`] set.
+///
+/// # Errors
+///
+/// The first requested name that is neither `all` nor an experiment.
+pub fn select_experiments(requested: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    if let Some(unknown) = requested.iter().find(|r| *r != "all" && !EXPERIMENTS.iter().any(|e| e.name == *r))
+    {
+        return Err(unknown.clone());
+    }
+    let all = requested.iter().any(|r| r == "all");
+    Ok(EXPERIMENTS.iter().filter(|e| (all && e.in_all) || requested.iter().any(|r| r == e.name)).collect())
+}
+
 /// Number of workload runs that reported an integrity failure; the CLI
 /// exits non-zero when this is non-zero, instead of panicking mid-table.
 static INTEGRITY_FAILURES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -915,6 +961,17 @@ mod tests {
         assert_eq!((serve.scale, serve.seed), (0.3, options.seed));
         assert!(serve.runtime.pause_gate, "the serving table measures the gate");
         assert_eq!(without_heap(&serve.runtime.with_pause_gate(false)), expected);
+    }
+
+    #[test]
+    fn experiment_selection_rejects_unknown_names() {
+        assert_eq!(select_experiments(&args("table7 tabel7")).unwrap_err(), "tabel7");
+        let names = |line: &str| -> Vec<&str> {
+            select_experiments(&args(line)).unwrap().iter().map(|e| e.name).collect()
+        };
+        assert_eq!(names("serve table7"), ["table7", "serve"], "run in list order");
+        assert!(!names("all").contains(&"chaos"), "chaos is opt-in");
+        assert_eq!(names("all chaos").len(), EXPERIMENTS.len());
     }
 
     #[test]

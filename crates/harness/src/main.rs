@@ -72,60 +72,20 @@ fn main() {
         _ => {}
     }
 
-    let all = requested.iter().any(|r| r == "all");
+    let selected = experiments::select_experiments(&requested).unwrap_or_else(|unknown| {
+        let known: Vec<&str> = experiments::EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!("unknown experiment `{unknown}`; known: {} all", known.join(" "));
+        std::process::exit(2);
+    });
 
     println!(
         "lxr-rs experiment harness (scale {:.2}, {} GC workers)",
         options.scale, options.runtime.gc_workers
     );
-    println!("substrate: simulated word-addressed Immix heap, {} mutator threads per workload\n", 4);
+    println!("substrate: simulated word-addressed Immix heap\n");
 
-    let want = |name: &str| all || requested.iter().any(|r| r == name);
-
-    if want("table3") {
-        println!("{}", experiments::table3_characteristics());
-    }
-    if want("table1") {
-        let (table, _) = experiments::table1_lusearch(&options);
-        println!("{table}");
-    }
-    if want("table4") {
-        let (table, _) = experiments::table4_latency(&options);
-        println!("{table}");
-    }
-    if want("table5") {
-        println!("{}", experiments::table5_heap_sensitivity(&options));
-    }
-    if want("table6") {
-        let (table, _) = experiments::table6_throughput(&options);
-        println!("{table}");
-    }
-    if want("table7") {
-        println!("{}", experiments::table7_breakdown(&options));
-    }
-    if want("fig7") {
-        println!("{}", experiments::fig7_lbo(&options));
-    }
-    if want("barrier-overhead") {
-        println!("{}", experiments::barrier_overhead(&options));
-    }
-    if want("sensitivity") {
-        println!("{}", experiments::sensitivity(&options));
-    }
-    if want("socialgraph") {
-        println!("{}", experiments::social_graph(&options));
-    }
-    if want("heap") {
-        println!("{}", experiments::heap_elasticity(&options));
-    }
-    if want("serve") {
-        let (table, _) = experiments::serve(&options);
-        println!("{table}");
-    }
-    // `chaos` is opt-in: it is not part of `all` because its fault schedules
-    // are inert (and its table all-`survived`) without `--features failpoints`.
-    if requested.iter().any(|r| r == "chaos") {
-        println!("{}", experiments::chaos(&options));
+    for experiment in selected {
+        println!("{}", (experiment.run)(&options));
     }
 
     let failures = experiments::integrity_failures();

@@ -163,8 +163,6 @@ pub struct ImmixAllocator {
     overflow_cursor: Address,
     overflow_limit: Address,
 
-    /// When `true`, memory is zeroed immediately before allocation into it.
-    zero_on_alloc: bool,
     /// When `false`, the allocator never draws from the recycled-block
     /// queue (generational plans restrict *mutator* allocation to fresh
     /// blocks so young objects never share a block with old ones, while
@@ -207,16 +205,9 @@ impl ImmixAllocator {
             recycled_line_offset: 0,
             overflow_cursor: Address::NULL,
             overflow_limit: Address::NULL,
-            zero_on_alloc: true,
             use_recycled: true,
             stats: AllocatorStats::default(),
         }
-    }
-
-    /// Disables zeroing at allocation time (for runtimes that zero at object
-    /// initialisation instead, §3.1).
-    pub fn set_zero_on_alloc(&mut self, zero: bool) {
-        self.zero_on_alloc = zero;
     }
 
     /// Enables or disables drawing from the recycled (partially free)
@@ -286,9 +277,7 @@ impl ImmixAllocator {
         if self.overflow_cursor.is_null() || self.overflow_cursor.plus(size) > self.overflow_limit {
             let block = self.blocks.acquire_clean_block().ok_or(AllocError::OutOfMemory)?;
             self.stats.clean_blocks_acquired += 1;
-            if self.zero_on_alloc {
-                self.space.zero_block(block);
-            }
+            self.space.zero_block(block);
             self.overflow_cursor = self.geometry.block_start(block);
             self.overflow_limit = self.geometry.block_end(block);
         }
@@ -327,9 +316,7 @@ impl ImmixAllocator {
             // 3. Fall back to a clean block.
             if let Some(block) = self.blocks.acquire_clean_block() {
                 self.stats.clean_blocks_acquired += 1;
-                if self.zero_on_alloc {
-                    self.space.zero_block(block);
-                }
+                self.space.zero_block(block);
                 self.set_region(self.geometry.block_start(block), self.geometry.block_end(block));
                 return Ok(self.bump(size));
             }
@@ -377,9 +364,7 @@ impl ImmixAllocator {
         // lives (stale decrements, logged slots, gray entries) are provably
         // stale before new objects can appear at the same granules.
         self.space.bump_reuse_range(start, end.diff(start));
-        if self.zero_on_alloc {
-            self.space.zero_range(start, end.diff(start));
-        }
+        self.space.zero_range(start, end.diff(start));
         self.set_region(start, end);
     }
 

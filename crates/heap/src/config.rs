@@ -3,16 +3,24 @@
 //! The paper's sensitivity analysis (§5.4) varies the block size (16/32/64
 //! KB), the number of reference-count bits (2/4/8) and the size of the
 //! lock-free clean-block buffer (32/64/128 entries), so all of these are
-//! runtime-configurable rather than compile-time constants.
+//! runtime-configurable rather than compile-time constants.  The line size
+//! and the chunk size are not varied and are constants.
 
 use crate::{BYTES_IN_WORD, GRANULE_WORDS};
+
+/// Line size in bytes (§2.6, §4).
+const LINE_BYTES: usize = 256;
+
+/// Number of blocks per chunk, the granule of mapping and release (a power
+/// of two: 256 KB chunks at the default 32 KB blocks).
+pub(crate) const BLOCKS_PER_CHUNK: usize = 8;
 
 /// Configuration of the managed heap: total size and structural parameters.
 ///
 /// The default configuration matches the paper's default LXR configuration
-/// (§4): 32 KB blocks, 256 B lines, a 2-bit reference count, a 32-entry
-/// lock-free clean-block buffer and a 16 KB large-object threshold (half a
-/// block).
+/// (§4): 32 KB blocks, a 2-bit reference count and a 32-entry lock-free
+/// clean-block buffer.  Lines are 256 B and objects of at least half a
+/// block go to the large object space.
 ///
 /// # Example
 ///
@@ -29,8 +37,6 @@ pub struct HeapConfig {
     pub heap_bytes: usize,
     /// Block size in bytes (default 32 KB).
     pub block_bytes: usize,
-    /// Line size in bytes (default 256 B).
-    pub line_bytes: usize,
     /// Number of bits in each reference count (2, 4 or 8; default 2).
     pub rc_bits: u8,
     /// Capacity of the global lock-free clean-block buffer, in blocks
@@ -38,9 +44,6 @@ pub struct HeapConfig {
     /// default "4 MB buffer" corresponds to 128 entries at 32 KB blocks and
     /// is explored in the sensitivity analysis).
     pub block_buffer_entries: usize,
-    /// Objects at least this many bytes are delegated to the large object
-    /// space (default: half a block).
-    pub large_object_bytes: usize,
     /// Minimum heap size in bytes for an *elastic* heap: when set, only
     /// enough chunks to cover this many bytes are mapped at construction
     /// and the rest of the reservation (up to `heap_bytes`) is mapped on
@@ -48,9 +51,6 @@ pub struct HeapConfig {
     /// whole heap mapped for its lifetime — the historical fixed-extent
     /// behaviour.
     pub min_heap_bytes: Option<usize>,
-    /// Number of blocks per chunk, the granule of mapping and release
-    /// (power of two; default 8, i.e. 256 KB chunks at 32 KB blocks).
-    pub blocks_per_chunk: usize,
 }
 
 impl HeapConfig {
@@ -59,13 +59,11 @@ impl HeapConfig {
         HeapConfig { heap_bytes, ..Default::default() }
     }
 
-    /// Sets the block size in bytes, keeping the large-object threshold at
-    /// half a block.
+    /// Sets the block size in bytes.
     pub fn with_block_bytes(mut self, block_bytes: usize) -> Self {
         assert!(block_bytes.is_power_of_two(), "block size must be a power of two");
-        assert!(block_bytes >= 2 * self.line_bytes, "blocks must hold at least two lines");
+        assert!(block_bytes >= 2 * LINE_BYTES, "blocks must hold at least two lines");
         self.block_bytes = block_bytes;
-        self.large_object_bytes = block_bytes / 2;
         self
     }
 
@@ -93,13 +91,6 @@ impl HeapConfig {
         self
     }
 
-    /// Sets the chunk size in blocks (the mapping/release granule).
-    pub fn with_blocks_per_chunk(mut self, blocks: usize) -> Self {
-        assert!(blocks.is_power_of_two(), "chunk size must be a power of two blocks");
-        self.blocks_per_chunk = blocks;
-        self
-    }
-
     /// Heap size in words.
     pub fn heap_words(&self) -> usize {
         self.num_blocks() * self.words_per_block()
@@ -112,12 +103,12 @@ impl HeapConfig {
 
     /// Number of words per line.
     pub fn words_per_line(&self) -> usize {
-        self.line_bytes / BYTES_IN_WORD
+        LINE_BYTES / BYTES_IN_WORD
     }
 
     /// Number of lines per block.
     pub fn lines_per_block(&self) -> usize {
-        self.block_bytes / self.line_bytes
+        self.block_bytes / LINE_BYTES
     }
 
     /// Number of whole blocks in the heap (the heap size is rounded up).
@@ -129,7 +120,7 @@ impl HeapConfig {
 
     /// Number of chunks covering the heap (the last one may be partial).
     pub fn num_chunks(&self) -> usize {
-        self.num_blocks().div_ceil(self.blocks_per_chunk)
+        self.num_blocks().div_ceil(BLOCKS_PER_CHUNK)
     }
 
     /// Number of chunks mapped at construction: all of them for a
@@ -140,7 +131,7 @@ impl HeapConfig {
             None => self.num_chunks(),
             Some(min_bytes) => {
                 let min_blocks = min_bytes.div_ceil(self.block_bytes) + 1;
-                min_blocks.div_ceil(self.blocks_per_chunk).clamp(1, self.num_chunks())
+                min_blocks.div_ceil(BLOCKS_PER_CHUNK).clamp(1, self.num_chunks())
             }
         }
     }
@@ -150,9 +141,10 @@ impl HeapConfig {
         self.heap_words() / GRANULE_WORDS
     }
 
-    /// The large-object threshold in words.
+    /// The large-object threshold in words: objects of at least half a
+    /// block are delegated to the large object space.
     pub fn large_object_words(&self) -> usize {
-        self.large_object_bytes / BYTES_IN_WORD
+        self.words_per_block() / 2
     }
 }
 
@@ -161,12 +153,9 @@ impl Default for HeapConfig {
         HeapConfig {
             heap_bytes: 32 << 20,
             block_bytes: 32 * 1024,
-            line_bytes: 256,
             rc_bits: 2,
             block_buffer_entries: 32,
-            large_object_bytes: 16 * 1024,
             min_heap_bytes: None,
-            blocks_per_chunk: 8,
         }
     }
 }
@@ -179,10 +168,9 @@ mod tests {
     fn default_matches_paper_configuration() {
         let c = HeapConfig::default();
         assert_eq!(c.block_bytes, 32 * 1024);
-        assert_eq!(c.line_bytes, 256);
         assert_eq!(c.rc_bits, 2);
         assert_eq!(c.block_buffer_entries, 32);
-        assert_eq!(c.large_object_bytes, 16 * 1024);
+        assert_eq!(c.large_object_words(), 16 * 1024 / BYTES_IN_WORD);
         assert_eq!(c.words_per_block(), 4096);
         assert_eq!(c.words_per_line(), 32);
         assert_eq!(c.lines_per_block(), 128);
@@ -200,7 +188,7 @@ mod tests {
         for kb in [16usize, 32, 64] {
             let c = HeapConfig::default().with_block_bytes(kb * 1024);
             assert_eq!(c.block_bytes, kb * 1024);
-            assert_eq!(c.large_object_bytes, kb * 512);
+            assert_eq!(c.large_object_words(), kb * 512 / BYTES_IN_WORD);
             assert_eq!(c.lines_per_block(), kb * 4);
         }
     }
@@ -248,12 +236,6 @@ mod tests {
     #[should_panic]
     fn rejects_inverted_heap_range() {
         let _ = HeapConfig::default().with_heap_range(8 << 20, 4 << 20);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_non_power_of_two_chunks() {
-        let _ = HeapConfig::default().with_blocks_per_chunk(3);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! and line sizes) in a small copyable value so that address arithmetic can
 //! be performed anywhere without carrying the full [`crate::HeapConfig`].
 
+use crate::config::BLOCKS_PER_CHUNK;
 use crate::{Address, Block, HeapConfig, Line};
+
+const LOG_BLOCKS_PER_CHUNK: u32 = BLOCKS_PER_CHUNK.trailing_zeros();
 
 /// The structural geometry of a heap: how words map to lines and blocks.
 ///
@@ -24,7 +27,6 @@ use crate::{Address, Block, HeapConfig, Line};
 pub struct HeapGeometry {
     log_words_per_block: u32,
     log_words_per_line: u32,
-    log_blocks_per_chunk: u32,
     num_blocks: usize,
 }
 
@@ -35,11 +37,9 @@ impl HeapGeometry {
         let words_per_line = config.words_per_line();
         assert!(words_per_block.is_power_of_two());
         assert!(words_per_line.is_power_of_two());
-        assert!(config.blocks_per_chunk.is_power_of_two());
         HeapGeometry {
             log_words_per_block: words_per_block.trailing_zeros(),
             log_words_per_line: words_per_line.trailing_zeros(),
-            log_blocks_per_chunk: config.blocks_per_chunk.trailing_zeros(),
             num_blocks: config.num_blocks(),
         }
     }
@@ -147,7 +147,7 @@ impl HeapGeometry {
     /// Number of blocks per chunk.
     #[inline]
     pub fn blocks_per_chunk(&self) -> usize {
-        1 << self.log_blocks_per_chunk
+        BLOCKS_PER_CHUNK
     }
 
     /// Number of chunks covering the heap (the last one may be partial).
@@ -159,27 +159,27 @@ impl HeapGeometry {
     /// The chunk that owns `block`.
     #[inline]
     pub fn chunk_of_block(&self, block: Block) -> usize {
-        block.index() >> self.log_blocks_per_chunk
+        block.index() >> LOG_BLOCKS_PER_CHUNK
     }
 
     /// The chunk containing `addr`.
     #[inline]
     pub fn chunk_of(&self, addr: Address) -> usize {
-        addr.word_index() >> (self.log_words_per_block + self.log_blocks_per_chunk)
+        addr.word_index() >> (self.log_words_per_block + LOG_BLOCKS_PER_CHUNK)
     }
 
     /// The block indices of `chunk`, clamped to the heap extent for the
     /// (possibly partial) final chunk.
     #[inline]
     pub fn chunk_blocks(&self, chunk: usize) -> std::ops::Range<usize> {
-        let first = chunk << self.log_blocks_per_chunk;
+        let first = chunk << LOG_BLOCKS_PER_CHUNK;
         first..(first + self.blocks_per_chunk()).min(self.num_blocks)
     }
 
     /// The first word of `chunk`.
     #[inline]
     pub fn chunk_start(&self, chunk: usize) -> Address {
-        Address::from_word_index(chunk << (self.log_words_per_block + self.log_blocks_per_chunk))
+        Address::from_word_index(chunk << (self.log_words_per_block + LOG_BLOCKS_PER_CHUNK))
     }
 
     /// Number of words in `chunk` (smaller for a partial final chunk).

@@ -17,8 +17,8 @@
 //!   reference counts, unlogged bits, mark bits, …) with word-at-a-time
 //!   (SWAR) bulk scans: zero tests, censuses, sums, wide clears, and
 //!   zero-run searches at 32 two-bit entries per loaded word,
-//! * [`Block`] / [`Line`] / [`BlockStateTable`] / [`LineTable`] — heap
-//!   structure bookkeeping,
+//! * [`Block`] / [`Line`] / [`BlockStateTable`] — heap structure
+//!   bookkeeping,
 //! * [`BlockAllocator`] — the global lock-free clean/recycled block lists
 //!   with the bounded clean-block buffer of §3.5,
 //! * [`ChunkMap`] — the chunked page resource behind elastic heaps: chunks
@@ -73,7 +73,7 @@ pub use block_alloc::BlockAllocator;
 pub use config::HeapConfig;
 pub use epoch::ReuseEpochTable;
 pub use geometry::HeapGeometry;
-pub use line::{Line, LineTable};
+pub use line::Line;
 pub use los::LargeObjectSpace;
 pub use pageresource::ChunkMap;
 pub use side_metadata::{
@@ -84,8 +84,6 @@ pub use space::HeapSpace;
 
 /// Number of bytes in a heap word (the cell size of the arena).
 pub const BYTES_IN_WORD: usize = 8;
-/// log2 of [`BYTES_IN_WORD`].
-pub const LOG_BYTES_IN_WORD: usize = 3;
 /// Minimum object size, in words (16 bytes, two words).
 pub const MIN_OBJECT_WORDS: usize = 2;
 /// The granule used for per-object side metadata (reference counts, mark

@@ -1,13 +1,13 @@
 //! Lines: the fine unit of the Immix heap hierarchy.
 //!
-//! Lines (256 B by default) are the granularity of reclamation within a
-//! block: an allocator may skip over live lines and reuse free ones.  The
-//! [`LineTable`] holds one byte of metadata per line and is used both for
-//! the per-line *reuse counters* that guard against stale remembered-set
-//! entries (§3.3.2) and, by some baseline collectors, as a line mark table.
+//! Lines (256 B) are the granularity of reclamation within a block: an
+//! allocator may skip over live lines and reuse free ones.  Per-line state
+//! lives in side metadata keyed by address: the reuse epochs that guard
+//! against stale remembered-set entries (§3.3.2) are a
+//! [`crate::ReuseEpochTable`], and the tracing baselines keep their line
+//! marks in a [`crate::SideMetadata`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A line index within the heap (global, not per-block).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,107 +30,5 @@ impl Line {
 impl fmt::Debug for Line {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Line({})", self.0)
-    }
-}
-
-/// One byte of atomically-accessed metadata per line.
-///
-/// LXR uses a `LineTable` for line reuse counters; tracing baselines use a
-/// second instance as a line mark table.
-///
-/// # Example
-///
-/// ```
-/// use lxr_heap::{Line, LineTable};
-/// let t = LineTable::new(64);
-/// let l = Line::from_index(7);
-/// assert_eq!(t.get(l), 0);
-/// t.increment(l);
-/// assert_eq!(t.get(l), 1);
-/// ```
-#[derive(Debug)]
-pub struct LineTable {
-    entries: Box<[AtomicU8]>,
-}
-
-impl LineTable {
-    /// Creates a table of `num_lines` zeroed entries.
-    pub fn new(num_lines: usize) -> Self {
-        let entries = (0..num_lines).map(|_| AtomicU8::new(0)).collect();
-        LineTable { entries }
-    }
-
-    /// Number of lines tracked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if the table tracks no lines.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Reads the entry for `line`.
-    #[inline]
-    pub fn get(&self, line: Line) -> u8 {
-        self.entries[line.index()].load(Ordering::Acquire)
-    }
-
-    /// Stores `value` for `line`.
-    #[inline]
-    pub fn set(&self, line: Line, value: u8) {
-        self.entries[line.index()].store(value, Ordering::Release);
-    }
-
-    /// Increments the entry for `line`, wrapping on overflow, and returns
-    /// the new value.
-    #[inline]
-    pub fn increment(&self, line: Line) -> u8 {
-        self.entries[line.index()].fetch_add(1, Ordering::AcqRel).wrapping_add(1)
-    }
-
-    /// Zeroes every entry.
-    pub fn clear(&self) {
-        for e in self.entries.iter() {
-            e.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn entries_start_at_zero() {
-        let t = LineTable::new(10);
-        assert_eq!(t.len(), 10);
-        assert!((0..10).all(|i| t.get(Line::from_index(i)) == 0));
-    }
-
-    #[test]
-    fn set_and_get() {
-        let t = LineTable::new(4);
-        t.set(Line::from_index(2), 42);
-        assert_eq!(t.get(Line::from_index(2)), 42);
-        assert_eq!(t.get(Line::from_index(1)), 0);
-    }
-
-    #[test]
-    fn increment_wraps() {
-        let t = LineTable::new(1);
-        let l = Line::from_index(0);
-        t.set(l, u8::MAX);
-        assert_eq!(t.increment(l), 0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let t = LineTable::new(8);
-        for i in 0..8 {
-            t.set(Line::from_index(i), i as u8 + 1);
-        }
-        t.clear();
-        assert!((0..8).all(|i| t.get(Line::from_index(i)) == 0));
     }
 }

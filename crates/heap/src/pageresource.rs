@@ -3,7 +3,7 @@
 //! Production heaps breathe with their workload; a fixed-extent reservation
 //! cannot.  This module models mmtk-core's chunk map / block page resource
 //! on top of the simulated arena: the address space is carved into *chunks*
-//! of [`crate::HeapConfig::blocks_per_chunk`] blocks, and each chunk is
+//! of [`crate::HeapGeometry::blocks_per_chunk`] blocks, and each chunk is
 //! either **mapped** (its blocks may hold objects) or **unmapped** (its
 //! blocks are invisible to the allocator and its memory notionally returned
 //! to the OS).

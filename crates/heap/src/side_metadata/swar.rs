@@ -438,16 +438,6 @@ impl SideMetadata {
         sum
     }
 
-    /// Scalar model of [`clear_range`](Self::clear_range).
-    #[doc(hidden)]
-    pub fn scalar_clear_range(&self, start: Address, words: usize) {
-        let mut w = 0;
-        while w < words {
-            self.store(start.plus(w), 0);
-            w += self.granule_words();
-        }
-    }
-
     /// Scalar model of [`bump_range`](Self::bump_range).
     #[doc(hidden)]
     pub fn scalar_bump_range(&self, start: Address, words: usize) {

@@ -1,6 +1,6 @@
 //! The reference-count side table.
 
-use lxr_heap::{Address, Block, HeapGeometry, Line, LineOccupancy, RangeCensus, SideMetadata, GRANULE_WORDS};
+use lxr_heap::{Block, HeapGeometry, Line, LineOccupancy, RangeCensus, SideMetadata, GRANULE_WORDS};
 use lxr_object::ObjectReference;
 
 /// A one-pass summary of a block's reference counts (§3.3.2): the number of
@@ -330,24 +330,10 @@ impl LineOccupancy for RcTable {
     }
 }
 
-/// Convenience: an [`Address`]-keyed increment used by collectors that apply
-/// increments through raw slot addresses.
-impl RcTable {
-    /// Increments the count of the object starting at `addr`.
-    pub fn increment_address(&self, addr: Address) -> CountChange {
-        self.increment(ObjectReference::from_address(addr))
-    }
-
-    /// Decrements the count of the object starting at `addr`.
-    pub fn decrement_address(&self, addr: Address) -> CountChange {
-        self.decrement(ObjectReference::from_address(addr))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lxr_heap::HeapConfig;
+    use lxr_heap::{Address, HeapConfig};
     use proptest::prelude::*;
 
     fn table() -> RcTable {

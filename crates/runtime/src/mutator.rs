@@ -220,11 +220,6 @@ impl Mutator {
         popped.map(|r| self.plan_mutator.resolve(r))
     }
 
-    /// Truncates the shadow stack to `len` roots.
-    pub fn truncate_roots(&mut self, len: usize) {
-        self.shared.roots.lock().truncate(len);
-    }
-
     /// Overwrites root `slot`.
     pub fn set_root(&mut self, slot: RootSlot, obj: ObjectReference) {
         self.shared.roots.lock()[slot.0] = obj;
@@ -239,11 +234,6 @@ impl Mutator {
             self.shared.roots.lock()[slot.0] = resolved;
         }
         resolved
-    }
-
-    /// Number of roots on the shadow stack.
-    pub fn root_count(&self) -> usize {
-        self.shared.roots.lock().len()
     }
 
     // ----- Safepoints and blocking ----------------------------------------

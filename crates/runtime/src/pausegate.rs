@@ -74,12 +74,6 @@ impl PauseGate {
         self.enabled
     }
 
-    /// Number of requests currently in flight (0 when every serving thread
-    /// is between requests).
-    pub fn requests_in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
     /// Marks the start of a request on the calling mutator.
     pub fn begin_request(&self) {
         self.in_flight.fetch_add(1, Ordering::Relaxed);

@@ -88,13 +88,11 @@ pub trait PlanMutator: Send {
     }
 }
 
-/// Access to every mutator's roots (shadow stacks plus global roots) during
-/// a stop-the-world collection.
+/// Access to every mutator's roots (one shadow stack per mutator) during a
+/// stop-the-world collection.
 pub struct RootSet {
     /// One shadow stack per registered mutator.
     pub mutator_roots: Vec<Arc<Mutex<Vec<ObjectReference>>>>,
-    /// Process-wide global roots.
-    pub global_roots: Arc<Mutex<Vec<ObjectReference>>>,
 }
 
 impl std::fmt::Debug for RootSet {
@@ -113,12 +111,6 @@ impl RootSet {
                 if !slot.is_null() {
                     visit(slot);
                 }
-            }
-        }
-        let mut globals = self.global_roots.lock();
-        for slot in globals.iter_mut() {
-            if !slot.is_null() {
-                visit(slot);
             }
         }
     }
@@ -303,9 +295,8 @@ mod tests {
         let set = RootSet {
             mutator_roots: vec![
                 Arc::new(Mutex::new(vec![a, ObjectReference::NULL])),
-                Arc::new(Mutex::new(vec![b])),
+                Arc::new(Mutex::new(vec![b, c])),
             ],
-            global_roots: Arc::new(Mutex::new(vec![c])),
         };
         assert_eq!(set.collect_roots(), vec![a, b, c]);
         // Redirect every root to a single forwarded location.

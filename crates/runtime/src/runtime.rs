@@ -9,7 +9,6 @@ use crate::stats::{GcReason, GcStats, PauseRecord, WorkCounter};
 use crate::workers::WorkerPool;
 use crate::RuntimeOptions;
 use lxr_heap::{BlockAllocator, HeapSpace, LargeObjectSpace};
-use lxr_object::ObjectReference;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,7 +82,6 @@ pub struct RuntimeShared {
     pub pause_attrs: Arc<PauseAttrs>,
 
     mutators: Mutex<Vec<Arc<MutatorShared>>>,
-    global_roots: Arc<Mutex<Vec<ObjectReference>>>,
     next_mutator_id: AtomicUsize,
     run_start: Instant,
     /// Wake epoch for the concurrent crew: bumped on every wake so that one
@@ -129,7 +127,6 @@ impl RuntimeShared {
                 let mutators = self.mutators.lock();
                 mutators.iter().map(|m| m.roots.clone()).collect()
             },
-            global_roots: self.global_roots.clone(),
         };
         self.plan.verify(&root_set)
     }
@@ -277,7 +274,6 @@ impl Runtime {
             workers,
             pause_attrs: Arc::new(PauseAttrs::default()),
             mutators: Mutex::new(Vec::new()),
-            global_roots: Arc::new(Mutex::new(Vec::new())),
             next_mutator_id: AtomicUsize::new(0),
             run_start: Instant::now(),
             concurrent_wake: Mutex::new(0),
@@ -354,23 +350,6 @@ impl Runtime {
         Mutator::new(self.shared.clone(), shared_mutator, plan_mutator)
     }
 
-    /// Adds a global (process-wide) root and returns its index.
-    pub fn push_global_root(&self, obj: ObjectReference) -> usize {
-        let mut roots = self.shared.global_roots.lock();
-        roots.push(obj);
-        roots.len() - 1
-    }
-
-    /// Overwrites global root `index`.
-    pub fn set_global_root(&self, index: usize, obj: ObjectReference) {
-        self.shared.global_roots.lock()[index] = obj;
-    }
-
-    /// Reads global root `index`.
-    pub fn global_root(&self, index: usize) -> ObjectReference {
-        self.shared.global_roots.lock()[index]
-    }
-
     /// Requests a collection from outside any mutator and waits for it to
     /// complete.  Useful for forcing a final collection in tests and in the
     /// harness.
@@ -435,7 +414,6 @@ fn controller_loop(shared: Arc<RuntimeShared>) {
                 let mutators = shared.mutators.lock();
                 mutators.iter().map(|m| m.roots.clone()).collect()
             },
-            global_roots: shared.global_roots.clone(),
         };
         // Reset pause attributes for this pause.
         shared.pause_attrs.set_kind("gc");

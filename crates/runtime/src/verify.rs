@@ -249,10 +249,7 @@ mod tests {
     }
 
     fn roots_of(objs: &[ObjectReference]) -> RootSet {
-        RootSet {
-            mutator_roots: vec![Arc::new(Mutex::new(objs.to_vec()))],
-            global_roots: Arc::new(Mutex::new(Vec::new())),
-        }
+        RootSet { mutator_roots: vec![Arc::new(Mutex::new(objs.to_vec()))] }
     }
 
     #[test]
