@@ -10,13 +10,15 @@
 //! `concurrent_workers` runtime option).  The crew shares work through the
 //! collector's queues in seed-and-steal form:
 //!
-//! * **Lazy decrements.**  Each worker pops bounded batches off the shared
-//!   `pending_decs` queue and follows recursive decrements on a local
-//!   stack; a skewed death subtree (one root heading millions of objects)
-//!   is split by publishing half of the oversized local stack back to the
-//!   shared queue where idle crew members pop it.  The last worker to leave
-//!   the drain with the queue empty performs lazy block reclamation and
-//!   clears `lazy_pending`.
+//! * **Lazy decrements.**  The shared `pending_decs` queue holds
+//!   *packets* — the write barrier's decrement chunks as a pause drained
+//!   them, never single decrements.  Each worker pops one packet at a time
+//!   and drains it as its local stack, following recursive decrements on
+//!   it; a skewed death subtree (one root heading millions of objects) is
+//!   split by publishing half of the oversized local stack back to the
+//!   shared queue as one packet, where idle crew members pop it.  The last
+//!   worker to leave the drain with the queue empty performs lazy block
+//!   reclamation and clears `lazy_pending`.
 //! * **SATB marking.**  The shared `gray` queue holds *seeds*; each worker
 //!   drains a local mark stack (LIFO, cache-friendly) refilled from the
 //!   shared queue in small grabs, spilling half of an oversized local stack
@@ -29,14 +31,14 @@
 //!
 //! Every worker checks the runtime's pause flag each
 //! [`YIELD_CHECK_QUANTUM`] objects.  On a pending pause it *flushes* its
-//! local buffers — remaining decrements back to `pending_decs`, remaining
-//! gray objects back to `gray` — deregisters, and returns, so no work is
-//! ever stranded in a preempted worker.  The pause waits for the whole crew
-//! to quiesce (the `concurrent_active` counter, a crew-wide generalisation
-//! of the old single-thread `concurrent_busy` flag) before touching
-//! collector state, and whatever the crew left in the shared queues is
-//! either finished by the pause (decrements) or re-seeds the crew after it
-//! (SATB tracing).
+//! local buffers — remaining decrements back to `pending_decs` as one
+//! packet, remaining gray objects back to `gray` — deregisters, and
+//! returns, so no work is ever stranded in a preempted worker.  The pause
+//! waits for the whole crew to quiesce (the `concurrent_active` counter, a
+//! crew-wide generalisation of the old single-thread `concurrent_busy`
+//! flag) before touching collector state, and whatever the crew left in the
+//! shared queues is either finished by the pause (decrements) or re-seeds
+//! the crew after it (SATB tracing).
 //!
 //! # Quiescence handshake
 //!
@@ -138,9 +140,8 @@ pub(crate) fn has_concurrent_work(state: &Arc<LxrState>) -> bool {
         && !state.gray.is_empty()
 }
 
-/// Pending decrements taken off the shared queue per scheduling round.
-const DEC_BATCH: usize = 4096;
-/// Below this batch size the fan-out overhead is not worth it.
+/// Below this many decrements a pause applies a batch on its own thread:
+/// the fan-out overhead is not worth it.
 const DEC_MIN_PARALLEL: usize = 128;
 
 /// One crew worker's share of the lazy decrement drain, wrapped in the
@@ -155,26 +156,19 @@ const DEC_MIN_PARALLEL: usize = 128;
 fn crew_drain_decrements(state: &Arc<LxrState>, should_yield: &YieldCheck) {
     state.dec_workers.fetch_add(1, Ordering::SeqCst);
     let mut finished = true;
-    'drain: loop {
+    loop {
         if should_yield() {
             finished = false;
             break;
         }
         lxr_failpoints::failpoint!("crew.steal");
-        let mut batch = Vec::new();
-        while batch.len() < DEC_BATCH {
-            match state.pending_decs.pop() {
-                Some(o) => batch.push(o),
-                None => break,
-            }
-        }
-        if batch.is_empty() {
+        let Some(packet) = state.pending_decs.pop() else {
             break;
-        }
-        state.stats.add(WorkCounter::SchedSteals, batch.len() as u64);
-        if !crew_process_decrement_chunk(state, batch, should_yield) {
+        };
+        state.stats.add(WorkCounter::SchedSteals, packet.len() as u64);
+        if !crew_process_decrement_chunk(state, packet, should_yield) {
             finished = false;
-            break 'drain;
+            break;
         }
     }
     let remaining = state.dec_workers.fetch_sub(1, Ordering::SeqCst) - 1;
@@ -196,107 +190,91 @@ fn crew_drain_decrements(state: &Arc<LxrState>, should_yield: &YieldCheck) {
     }
 }
 
-/// Recursive-decrement backlog beyond which a worker publishes half of its
-/// local stack back to the shared queue, so a skewed chunk (one root
-/// heading a huge death subtree) does not serialize the drain while the
-/// other workers idle.
-const DEC_OFFLOAD_AT: usize = 512;
+/// Local-stack length at which a packet's processor splits half of the
+/// stack off as a new packet for its siblings, so a skewed packet (one root
+/// heading a huge death subtree, one survivor heading a huge young
+/// structure) does not serialize a phase while the other workers idle.
+/// Shared by every RC packet: the crew's and the pause's decrements and the
+/// pause's increments.
+pub(crate) const DEC_OFFLOAD_AT: usize = 512;
 
 /// Splits an oversized local decrement stack off to wherever the caller's
 /// siblings can pick it up (the shared pending queue for the crew, the
 /// bucket handle for the pause's work-stealing fan-outs).
 type DecOffload<'a> = &'a dyn Fn(&mut Vec<Stamped<ObjectReference>>);
 
-/// Applies one batch of decrements on a crew worker: recursive decrements
+/// Applies one packet of decrements on a crew worker: recursive decrements
 /// accumulate on a local stack, an oversized backlog is split off and
-/// published to the shared pending queue where sibling crew workers pop it,
-/// and on a yield request the unprocessed remainder is re-queued.  Returns
-/// `false` if the worker yielded.
+/// published to the shared pending queue as one packet where sibling crew
+/// workers pop it, and on a yield request the unprocessed remainder is
+/// re-queued.  Returns `false` if the worker yielded.
 fn crew_process_decrement_chunk(
     state: &Arc<LxrState>,
     chunk: Vec<Stamped<ObjectReference>>,
     should_yield: &YieldCheck,
 ) -> bool {
     let offload = |local: &mut Vec<Stamped<ObjectReference>>| {
-        let keep = local.len() / 2;
-        state.stats.add(WorkCounter::SchedPushes, (local.len() - keep) as u64);
-        for o in local.drain(keep..) {
-            state.pending_decs.push(o);
-        }
+        let half = local.split_off(local.len() / 2);
+        state.stats.add(WorkCounter::SchedPushes, half.len() as u64);
+        state.pending_decs.push(half);
     };
     process_decrement_chunk(state, chunk, Some(&**should_yield), Some(&offload))
 }
 
-/// Processes queued decrements (and the recursive decrements they generate)
-/// until the queue is empty or `should_yield` asks us to stop.  Returns
-/// `true` if the queue was fully drained.
-///
-/// This is the *in-pause* catch-up path (§3.2.1: "If the next RC epoch
-/// starts and LXR still has decrements to process, it finishes them
-/// first"): each batch popped off the pending queue is chunked across the
-/// stop-the-world worker pool as a one-bucket graph
-/// ([`WorkerPool::run_bucket_graph`]); recursive decrements stay on the
-/// processing worker's local stack.  `None` for `should_yield` means
-/// "never yield" (the pause owns the world).  Outside pauses, decrements
-/// are drained by the concurrent crew instead ([`crew_drain_decrements`]).
-pub(crate) fn drain_pending_decrements(
-    state: &Arc<LxrState>,
-    workers: Option<&WorkerPool>,
-    should_yield: Option<YieldCheck>,
-) -> bool {
-    loop {
-        if should_yield.as_ref().is_some_and(|f| f()) {
-            return false;
-        }
-        let mut batch = Vec::new();
-        while batch.len() < DEC_BATCH {
-            match state.pending_decs.pop() {
-                Some(o) => batch.push(o),
-                None => break,
-            }
-        }
-        if batch.is_empty() {
-            return true;
-        }
-        match workers {
-            Some(pool) if batch.len() >= DEC_MIN_PARALLEL => {
-                let participants = pool.size() + 1;
-                let chunk_len = batch.len().div_ceil(participants * 4).max(32);
-                let chunks: Vec<Vec<Stamped<ObjectReference>>> =
-                    batch.chunks(chunk_len).map(<[_]>::to_vec).collect();
-                let state = state.clone();
-                let should_yield = should_yield.clone();
-                let mut graph = lxr_runtime::BucketGraph::new();
-                let decs = graph.bucket("lazy-decs", &[], chunks);
-                pool.run_bucket_graph("pause: lazy-decrement drain", graph, move |_bucket, chunk, handle| {
-                    // An oversized backlog is re-pushed into this bucket,
-                    // where idle pool workers can steal it.
-                    let offload = |local: &mut Vec<Stamped<ObjectReference>>| {
-                        handle.push(decs, local.split_off(local.len() / 2));
-                    };
-                    process_decrement_chunk(&state, chunk, should_yield.as_deref(), Some(&offload));
-                });
-                // Chunks that yielded re-queued their remainders; the check
-                // at the top of the loop notices and reports `false`.
-            }
-            _ => {
-                if !process_decrement_chunk(state, batch, should_yield.as_deref(), None) {
-                    return false;
-                }
-            }
-        }
-    }
+/// Cuts `items` into packets for a pause phase: about four per participant
+/// (so a slow packet leaves its siblings something to steal), and at least
+/// 32 items each (so a packet amortises its scheduling).
+pub(crate) fn packets<T: Clone>(items: &[T], participants: usize) -> Vec<Vec<T>> {
+    let len = items.len().div_ceil(participants * 4).max(32);
+    items.chunks(len).map(<[_]>::to_vec).collect()
 }
 
-/// The one decrement-chunk engine behind the crew drain, the pause's
-/// work-stealing fan-outs and its small-batch paths: pops from a local
-/// stack, follows recursive decrements on it, and hands an oversized
-/// backlog (≥ [`DEC_OFFLOAD_AT`]) to `offload`, which splits half of the
-/// stack off to wherever the caller's siblings can pick it up.  Checks
-/// `should_yield` up front (a chunk picked up after a pause request goes
-/// straight back) and every [`YIELD_CHECK_QUANTUM`] applications; on yield
-/// the unprocessed remainder returns to the shared pending queue and
-/// `false` is returned.
+/// Processes every decrement still queued in `pending_decs` (and the
+/// recursive decrements they generate) on the stop-the-world pool: the
+/// *in-pause* catch-up path (§3.2.1: "If the next RC epoch starts and LXR
+/// still has decrements to process, it finishes them first").  Outside
+/// pauses, decrements are drained by the concurrent crew instead
+/// ([`crew_drain_decrements`]).
+pub(crate) fn drain_pending_decrements(state: &Arc<LxrState>, pool: &WorkerPool) {
+    let queued: Vec<_> = std::iter::from_fn(|| state.pending_decs.pop()).collect();
+    apply_decrement_packets(state, pool, queued);
+}
+
+/// Applies decrement packets (and their recursive cascades) inside a pause:
+/// each packet is one item of a one-bucket graph, whose processor follows
+/// recursive decrements on its local stack and pushes an oversized half
+/// back into the bucket, where idle pool workers steal it.  A batch under
+/// [`DEC_MIN_PARALLEL`] decrements runs on this thread instead.
+pub(crate) fn apply_decrement_packets(
+    state: &Arc<LxrState>,
+    pool: &WorkerPool,
+    packets: Vec<Vec<Stamped<ObjectReference>>>,
+) {
+    if packets.iter().map(Vec::len).sum::<usize>() < DEC_MIN_PARALLEL {
+        for packet in packets {
+            process_decrement_chunk(state, packet, None, None);
+        }
+        return;
+    }
+    let state = state.clone();
+    let mut graph = lxr_runtime::BucketGraph::new();
+    let decs = graph.bucket("decrements", &[], packets);
+    pool.run_bucket_graph("pause: decrements", graph, move |_bucket, packet, handle| {
+        let offload = |local: &mut Vec<Stamped<ObjectReference>>| {
+            handle.push(decs, local.split_off(local.len() / 2));
+        };
+        process_decrement_chunk(&state, packet, None, Some(&offload));
+    });
+}
+
+/// The one decrement-packet engine behind the crew drain and the pause's
+/// fan-outs: pops from a local stack, follows recursive decrements on it,
+/// and hands an oversized backlog (≥ [`DEC_OFFLOAD_AT`]) to `offload`,
+/// which splits half of the stack off to wherever the caller's siblings can
+/// pick it up.  Checks `should_yield` up front (a packet picked up after a
+/// pause request goes straight back) and every [`YIELD_CHECK_QUANTUM`]
+/// applications; on yield the unprocessed remainder returns to the shared
+/// pending queue as one packet and `false` is returned.
 pub(crate) fn process_decrement_chunk(
     state: &Arc<LxrState>,
     chunk: Vec<Stamped<ObjectReference>>,
@@ -304,11 +282,14 @@ pub(crate) fn process_decrement_chunk(
     offload: Option<DecOffload<'_>>,
 ) -> bool {
     let mut local = chunk;
-    if should_yield.is_some_and(|f| f()) {
-        for o in local.drain(..) {
-            state.pending_decs.push(o);
+    let requeue = |local: Vec<Stamped<ObjectReference>>| {
+        if !local.is_empty() {
+            state.pending_decs.push(local);
         }
-        return false;
+        false
+    };
+    if should_yield.is_some_and(|f| f()) {
+        return requeue(local);
     }
     let mut processed_since_check = 0usize;
     while let Some(obj) = local.pop() {
@@ -325,10 +306,7 @@ pub(crate) fn process_decrement_chunk(
         if processed_since_check >= YIELD_CHECK_QUANTUM {
             processed_since_check = 0;
             if should_yield.is_some_and(|f| f()) {
-                for o in local.drain(..) {
-                    state.pending_decs.push(o);
-                }
-                return false;
+                return requeue(local);
             }
         }
     }
@@ -575,5 +553,58 @@ pub fn trace_satb_crew_watched(
             }
         }
         idle_spins = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::LxrConfig;
+    use lxr_heap::{BlockAllocator, BlockState, HeapConfig, HeapSpace, LargeObjectSpace};
+    use lxr_object::ObjectShape;
+    use lxr_runtime::{PlanContext, RuntimeOptions};
+    use std::sync::atomic::AtomicUsize;
+
+    fn state() -> Arc<LxrState> {
+        let options = RuntimeOptions::default()
+            .with_heap_config(HeapConfig::with_heap_size(4 << 20))
+            .with_concurrent_thread(false);
+        let space = Arc::new(HeapSpace::new(options.heap.clone()));
+        let blocks = Arc::new(BlockAllocator::new(space.clone()));
+        let los = Arc::new(LargeObjectSpace::new(space.clone(), blocks.clone()));
+        let ctx = PlanContext { space, blocks, los, stats: Arc::new(lxr_runtime::GcStats::new()), options };
+        Arc::new(LxrState::new(&ctx, LxrConfig::default()))
+    }
+
+    #[test]
+    fn a_yield_requeues_the_unprocessed_remainder_as_one_packet() {
+        let s = state();
+        let block = Block::from_index(2);
+        s.space.block_states().set(block, BlockState::Mature);
+        // 200 mature leaves with a count of two: each decrement survives,
+        // so the packet's stack only shrinks.
+        let packet: Vec<Stamped<ObjectReference>> = (0..200)
+            .map(|k| {
+                let obj =
+                    s.om.initialize(s.geometry.block_start(block).plus(k * 2), ObjectShape::new(0, 1, 1));
+                s.rc.increment(obj);
+                s.rc.increment(obj);
+                s.stamp(obj)
+            })
+            .collect();
+        // Passes the up-front check, fires at the first quantum check.
+        let checks = AtomicUsize::new(0);
+        let should_yield = || checks.fetch_add(1, Ordering::Relaxed) >= 1;
+        assert!(!process_decrement_chunk(&s, packet.clone(), Some(&should_yield), None));
+        assert_eq!(checks.load(Ordering::Relaxed), 2);
+        assert_eq!(s.pending_decs.len(), 1, "the remainder travels as one packet");
+        let remainder = s.pending_decs.pop().unwrap();
+        // The stack pops from its end: the first YIELD_CHECK_QUANTUM entries
+        // processed are the last ones of the packet.
+        assert_eq!(remainder, packet[..packet.len() - YIELD_CHECK_QUANTUM]);
+        for (k, dec) in packet.iter().enumerate() {
+            let expected = if k < remainder.len() { 2 } else { 1 };
+            assert_eq!(s.rc.count(dec.value), expected, "entry {k}");
+        }
     }
 }

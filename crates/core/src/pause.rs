@@ -49,9 +49,13 @@
 //!   pool as a one-bucket graph.
 //!
 //! The increment phase and the in-pause decrement phase are one-bucket
-//! graphs too (a flat fan-out is the degenerate graph): they push recursive
-//! work back into their own bucket through
-//! [`BucketHandle::push`](lxr_runtime::BucketHandle::push).
+//! graphs too (a flat fan-out is the degenerate graph) whose items are
+//! **packets**, not single objects: each packet is a worker's local LIFO
+//! stack, recursive work stays on it, and only a stack that reaches
+//! `DEC_OFFLOAD_AT` (512) hands half back to its own bucket through
+//! [`BucketHandle::push`](lxr_runtime::BucketHandle::push) for idle
+//! siblings to steal.  The scheduler's per-item cost (a deque operation and
+//! the bucket's shared `pending` RMWs) is paid per packet.
 //!
 //! # Phase-order invariants
 //!
@@ -95,9 +99,6 @@ use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Below this many in-pause decrements the fan-out overhead is not worth it.
-const DEC_MIN_PARALLEL_PAUSE: usize = 128;
 
 /// Minimum gray objects the pause retires as its bounded SATB catch-up
 /// slice.  The actual slice is the larger of this and an eighth of the
@@ -145,7 +146,7 @@ type DecChunks = Vec<Vec<Stamped<ObjectReference>>>;
 
 /// One work item of the pause's early bucket graph (steps 1–4).
 enum EarlyItem {
-    /// A chunk of the leftover lazy-decrement drain (`lazy-decs`).
+    /// A packet of the leftover lazy-decrement drain (`lazy-decs`).
     DecChunk(Vec<Stamped<ObjectReference>>),
     /// Release the blocks deferred one epoch (`release-deferred`).
     ReleaseDeferred,
@@ -352,14 +353,8 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     let catchup = (state.geometry.num_words() / GRANULE_WORDS / 8).max(SATB_PAUSE_CATCHUP_MIN);
     let barrier_chunks: Arc<Mutex<Option<(ModChunks, DecChunks)>>> = Arc::new(Mutex::new(None));
     {
-        let mut pending: Vec<Stamped<ObjectReference>> = Vec::new();
-        while let Some(d) = state.pending_decs.pop() {
-            pending.push(d);
-        }
-        let participants = c.workers.size() + 1;
-        let chunk_len = pending.len().div_ceil(participants * 4).max(32);
         let dec_seeds: Vec<EarlyItem> =
-            pending.chunks(chunk_len).map(|ch| EarlyItem::DecChunk(ch.to_vec())).collect();
+            std::iter::from_fn(|| state.pending_decs.pop()).map(EarlyItem::DecChunk).collect();
         let mut graph = lxr_runtime::BucketGraph::new();
         let b_decs = graph.bucket("lazy-decs", &[], dec_seeds);
         let _b_release = graph.bucket("release-deferred", &[b_decs], vec![EarlyItem::ReleaseDeferred]);
@@ -378,7 +373,7 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     // offloads all flow through the bucket handle, so this is a single
     // failed pop unless a future change re-routes a remainder through the
     // shared queue — in which case it is caught here, not by corruption.
-    crate::concurrent::drain_pending_decrements(state, Some(c.workers), None);
+    crate::concurrent::drain_pending_decrements(state, c.workers);
     state.lazy_pending.store(false, Ordering::Release);
     let (mod_chunks, dec_chunks) =
         barrier_chunks.lock().take().expect("barrier-drain bucket ran exactly once");
@@ -406,7 +401,8 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     //    land in the abandoned old copy while the relocated copy keeps a
     //    stale pointer to a young object that moves this very pause.)
     lxr_failpoints::failpoint!("pause.increments");
-    let inc_workers = make_inc_workers(state, c.workers.size() + 1);
+    let participants = c.workers.size() + 1;
+    let inc_workers = make_inc_workers(state, participants);
     let mut items: Vec<IncItem> = Vec::with_capacity(roots.len() + 1024);
     for &root in &roots {
         items.push(IncItem { slot: None, target: root, reset_log: false, epoch: 0 });
@@ -425,12 +421,21 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
         let state = state.clone();
         let inc_workers = inc_workers.clone();
         let mut graph = lxr_runtime::BucketGraph::new();
-        let incs = graph.bucket("increments", &[], items);
-        c.workers.run_bucket_graph("pause: increments", graph, move |_bucket, item, handle| {
+        let incs = graph.bucket("increments", &[], crate::concurrent::packets(&items, participants));
+        c.workers.run_bucket_graph("pause: increments", graph, move |_bucket, packet, handle| {
             let worker = &inc_workers[handle.worker_id];
-            process_increment_item(&state, item, worker, &|slot, child| {
-                handle.push(incs, IncItem { slot: Some(slot), target: child, reset_log: false, epoch: 0 });
-            });
+            // The packet is this participant's local stack: recursive
+            // increments land on it, and an oversized stack hands half back
+            // to the bucket where idle siblings steal it.
+            let mut local = packet;
+            while let Some(item) = local.pop() {
+                process_increment_item(&state, item, worker, &mut |slot, child| {
+                    local.push(IncItem { slot: Some(slot), target: child, reset_log: false, epoch: 0 });
+                });
+                if local.len() >= crate::concurrent::DEC_OFFLOAD_AT {
+                    handle.push(incs, local.split_off(local.len() / 2));
+                }
+            }
         });
     }
     // Retiring the copy allocators folds what they copied into the space's
@@ -494,20 +499,22 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     //    decrements), or in-pause under the -LD ablation.
     lxr_failpoints::failpoint!("pause.decrements");
     let root_decs: Vec<Stamped<ObjectReference>> = state.prev_root_decs.lock().drain(..).collect();
-    apply_decrements_in_pause(state, c.workers, root_decs);
-    let mut decrements: Vec<Stamped<ObjectReference>> = Vec::new();
-    for chunk in dec_chunks {
-        decrements.extend(chunk);
-    }
+    crate::concurrent::apply_decrement_packets(
+        state,
+        c.workers,
+        crate::concurrent::packets(&root_decs, participants),
+    );
+    // The barrier's chunks travel on as packets, as drained.
+    let dec_packets = dec_chunks.into_iter().filter(|chunk| !chunk.is_empty());
     if state.config.concurrent_decrements {
-        for d in decrements {
-            state.pending_decs.push(d);
+        for packet in dec_packets {
+            state.pending_decs.push(packet);
         }
         state.lazy_pending.store(true, Ordering::Release);
     } else {
         // The -LD ablation applies the captured decrements inside the
         // pause as well.  Blocks dirtied here are swept below.
-        apply_decrements_in_pause(state, c.workers, decrements);
+        crate::concurrent::apply_decrement_packets(state, c.workers, dec_packets.collect());
     }
 
     // 9. Sweep: blocks containing young objects (state Young/Recycled),
@@ -569,29 +576,6 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
     state.epochs.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Applies a batch of decrements (and their recursive cascades) inside the
-/// pause: a work-stealing phase for large batches, the one decrement-chunk
-/// loop on this thread for tiny ones (not worth a phase's scheduling setup).
-fn apply_decrements_in_pause(
-    state: &Arc<LxrState>,
-    workers: &WorkerPool,
-    decrements: Vec<Stamped<ObjectReference>>,
-) {
-    if decrements.is_empty() {
-        return;
-    }
-    if decrements.len() < DEC_MIN_PARALLEL_PAUSE {
-        crate::concurrent::process_decrement_chunk(state, decrements, None, None);
-    } else {
-        let state = state.clone();
-        let mut graph = lxr_runtime::BucketGraph::new();
-        let decs = graph.bucket("decrements", &[], decrements);
-        workers.run_bucket_graph("pause: decrements", graph, move |_bucket, obj, handle| {
-            state.apply_decrement(obj, &mut |child| handle.push(decs, child));
-        });
-    }
-}
-
 /// Creates the increment-phase state of each GC worker (plus the controller
 /// thread).
 fn make_inc_workers(state: &Arc<LxrState>, n: usize) -> Arc<Vec<IncWorker>> {
@@ -615,7 +599,7 @@ fn process_increment_item(
     state: &Arc<LxrState>,
     item: IncItem,
     worker: &IncWorker,
-    push_child: &dyn Fn(Address, ObjectReference),
+    push_child: &mut dyn FnMut(Address, ObjectReference),
 ) {
     let (slot, obj) = match item.slot {
         Some(s) => {
@@ -672,7 +656,7 @@ pub(crate) fn increment_object(
     state: &Arc<LxrState>,
     obj: ObjectReference,
     worker: &IncWorker,
-    push_child: &dyn Fn(Address, ObjectReference),
+    push_child: &mut dyn FnMut(Address, ObjectReference),
 ) -> ObjectReference {
     state.stats.add(WorkCounter::IncrementsApplied, 1);
     // Objects already evacuated this pause: increment the new copy.
@@ -717,7 +701,7 @@ fn first_retention(
     obj: ObjectReference,
     header: u64,
     worker: &IncWorker,
-    push_child: &dyn Fn(Address, ObjectReference),
+    push_child: &mut dyn FnMut(Address, ObjectReference),
 ) -> ObjectReference {
     let shape = state.om.shape_of_header(header);
     let size = shape.size_words();

@@ -152,7 +152,7 @@ impl Plan for LxrPlan {
     fn gauges(&self) -> String {
         let s = &self.state;
         format!(
-            "lxr: epochs={} satb_active={} satb_complete={} gray={} pending_decs={} lazy_pending={} \
+            "lxr: epochs={} satb_active={} satb_complete={} gray={} pending_dec_chunks={} lazy_pending={} \
              concurrent_active={} satb_tracers={} force_degenerate={} free_blocks={} recycled_blocks={}",
             s.epochs.load(Ordering::Relaxed),
             s.satb_active.load(Ordering::Relaxed),

@@ -73,9 +73,11 @@ pub struct LxrState {
     pub epochs: AtomicU64,
 
     // ---- lazy decrement state ----
-    /// Decrements awaiting (lazy) processing, each stamped with its
-    /// target's reuse epoch at capture time.
-    pub pending_decs: SegQueue<Stamped<ObjectReference>>,
+    /// Decrements awaiting (lazy) processing, in packets (the barrier's
+    /// drained chunks, offloaded halves and yield remainders), each entry
+    /// stamped with its target's reuse epoch at capture time.  No packet is
+    /// ever empty, so an empty queue means no decrement is pending.
+    pub pending_decs: SegQueue<Vec<Stamped<ObjectReference>>>,
     /// `true` while decrements from the last epoch remain unprocessed.
     pub lazy_pending: AtomicBool,
     /// Blocks that received decrements since the last pause (sweep

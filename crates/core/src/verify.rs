@@ -276,7 +276,7 @@ pub fn verify(state: &Arc<LxrState>, roots: &RootSet) -> VerifyReport {
         reached.len()
     ));
     report.note(format!(
-        "pending_decs={} gray={} remset={remset_len} lazy_pending={} satb_running={satb_running}",
+        "pending_dec_chunks={} gray={} remset={remset_len} lazy_pending={} satb_running={satb_running}",
         state.pending_decs.len(),
         state.gray.len(),
         state.lazy_pending.load(Ordering::Acquire),

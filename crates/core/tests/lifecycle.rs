@@ -2,12 +2,12 @@
 //! reclamation of acyclic and cyclic garbage, young evacuation, concurrency
 //! ablations, and multi-threaded mutators.
 
-use lxr_core::{LxrConfig, LxrPlan};
+use lxr_core::{LxrConfig, LxrPlan, LxrState};
 use lxr_object::ObjectReference;
 use lxr_runtime::{Plan, PlanContext, Runtime, RuntimeOptions, WorkCounter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn runtime_with(heap_mb: usize, config: LxrConfig) -> Runtime {
     let options =
@@ -15,6 +15,26 @@ fn runtime_with(heap_mb: usize, config: LxrConfig) -> Runtime {
     Runtime::with_factory(options, move |ctx: PlanContext| {
         Arc::new(LxrPlan::with_config(ctx, config)) as Arc<dyn Plan>
     })
+}
+
+/// A runtime with 2 GC workers and no concurrent crew (so only the pool
+/// feeds the scheduler counters, and nothing runs between pauses), plus
+/// the LXR state behind it.
+fn crewless_runtime(heap_mb: usize) -> (Runtime, Arc<LxrState>) {
+    let options = RuntimeOptions::default()
+        .with_heap_size(heap_mb << 20)
+        .with_gc_workers(2)
+        .with_concurrent_thread(false)
+        .with_poll_interval(32);
+    let state = Arc::new(OnceLock::new());
+    let slot = Arc::clone(&state);
+    let rt = Runtime::with_factory(options, move |ctx: PlanContext| {
+        let plan = Arc::new(LxrPlan::with_config(ctx, LxrConfig::for_heap(heap_mb << 20)));
+        let _ = slot.set(Arc::clone(plan.state()));
+        plan as Arc<dyn Plan>
+    });
+    let state = Arc::clone(state.get().expect("the factory ran"));
+    (rt, state)
 }
 
 fn runtime(heap_mb: usize) -> Runtime {
@@ -446,5 +466,103 @@ fn two_allocating_mutators_are_collected_ahead_of_exhaustion() {
     }
     assert!(rt.stats().get(WorkCounter::TriggerPredictive) > 0, "{}", rt.stats().work_summary());
     assert_eq!(rt.stats().get(WorkCounter::TriggerExhaustion), 0, "{}", rt.stats().work_summary());
+    rt.shutdown();
+}
+
+#[test]
+fn pause_hands_rc_work_between_workers_in_packets() {
+    // 10 000 mature objects each get one reference field overwritten with
+    // a fresh young leaf.  The pause's increment phase must move that work
+    // between its workers in packets: scheduling each logged slot and each
+    // recursive increment as its own bucket item would cost at least one
+    // pop or steal per slot.
+    const N: usize = 10_000;
+    let (rt, state) = crewless_runtime(64);
+    let mut m = rt.bind_mutator();
+    let head = m.alloc(2, 0, 1);
+    let root = m.push_root(head);
+    let mut tail = head;
+    for _ in 1..N {
+        let node = m.alloc(2, 0, 1);
+        m.write_ref(tail, 0, node);
+        tail = node;
+    }
+    m.request_gc();
+    m.request_gc();
+    assert_eq!(rt.stats().snapshot().pause_count(), 2, "only the requested pauses ran");
+    let mut node = m.root(root);
+    for i in 0..N as u64 {
+        let leaf = m.alloc(0, 1, 2);
+        m.write_data(leaf, 0, i);
+        m.write_ref(node, 1, leaf);
+        node = m.read_ref(node, 0);
+    }
+    let items =
+        |rt: &Runtime| rt.stats().get(WorkCounter::SchedPops) + rt.stats().get(WorkCounter::SchedSteals);
+    let before = items(&rt);
+    m.request_gc();
+    let scheduled = items(&rt) - before;
+    assert_eq!(rt.stats().snapshot().pause_count(), 3, "only the requested pauses ran");
+    assert!(scheduled <= (N / 16) as u64, "{scheduled} bucket items for {N} logged slots");
+    let report = rt.verify_now();
+    assert!(report.ok(), "{report}");
+    let mut node = m.root(root);
+    for i in 0..N as u64 {
+        let leaf = m.read_ref(node, 1);
+        assert_eq!(m.read_data(leaf, 0), i);
+        assert_eq!(state.rc.count(leaf), 1, "leaf {i} is held by exactly one field");
+        node = m.read_ref(node, 0);
+    }
+    drop(m);
+    rt.shutdown();
+}
+
+#[test]
+fn a_wide_young_survivor_splits_its_increments_across_workers() {
+    // One young object with 1 024 reference fields, each to a young leaf,
+    // stored into a logged mature field: its first retention pushes 1 024
+    // recursive increments onto one worker's local stack, which must split
+    // half off (at 512) to its siblings without losing or doubling any.
+    const FIELDS: u16 = 1024;
+    let (rt, state) = crewless_runtime(16);
+    let mut m = rt.bind_mutator();
+    let holder = m.alloc(1, 0, 1);
+    let root = m.push_root(holder);
+    m.request_gc();
+    m.request_gc();
+    // Garbage that fills the lines the pauses left free, so the structure
+    // below lands in fresh (all-young, hence evacuated) blocks.
+    for _ in 0..4096 {
+        m.alloc(0, 15, 0);
+    }
+    let wide = m.alloc(FIELDS, 0, 3);
+    for i in 0..FIELDS as usize {
+        let leaf = m.alloc(0, 1, 4);
+        m.write_data(leaf, 0, i as u64);
+        m.write_ref(wide, i, leaf);
+    }
+    let holder = m.root(root);
+    m.write_ref(holder, 0, wide);
+    let survivors = rt.stats().get(WorkCounter::YoungSurvivors);
+    let copied = rt.stats().get(WorkCounter::YoungObjectsCopied);
+    m.request_gc();
+    assert_eq!(rt.stats().snapshot().pause_count(), 3, "only the requested pauses ran");
+    assert_eq!(rt.stats().get(WorkCounter::YoungSurvivors) - survivors, FIELDS as u64 + 1);
+    assert_eq!(
+        rt.stats().get(WorkCounter::YoungObjectsCopied) - copied,
+        FIELDS as u64 + 1,
+        "the wide object and every leaf were evacuated"
+    );
+    let report = rt.verify_now();
+    assert!(report.ok(), "{report}");
+    let holder = m.root(root);
+    let wide = m.read_ref(holder, 0);
+    assert_eq!(state.rc.count(wide), 1);
+    for i in 0..FIELDS as usize {
+        let leaf = m.read_ref(wide, i);
+        assert_eq!(m.read_data(leaf, 0), i as u64);
+        assert_eq!(state.rc.count(leaf), 1, "leaf {i} is held by exactly one field");
+    }
+    drop(m);
     rt.shutdown();
 }

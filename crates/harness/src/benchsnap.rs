@@ -8,9 +8,10 @@
 //!
 //! * `pause_phases/sweep_blocks_*` — the block sweep, sequential oracle vs
 //!   the bucket-graph census→release pipeline at 1/2/4/8 workers;
-//! * `pause_phases/increment_tree_*` — the transitive increment tree as a
-//!   one-bucket graph (the flat degenerate case of the bucket DAG, the
-//!   shape of the pause's increment phase) at 1/2/4/8 workers;
+//! * `pause_phases/increment_tree_*` — the scheduler's per-item cost: a
+//!   transitive tree of single-item pushes through a one-bucket graph at
+//!   1/2/4/8 workers (the pause's own phases move their work in packets,
+//!   so this is the cost a packet amortises, not a phase's shape);
 //! * `concurrent_mark/trace_*` — the SATB trace, sequential oracle vs the
 //!   crew at 1/2/4/8 threads;
 //! * `metadata_scan/<kernel>/<tier>` — every side-metadata bulk kernel
