@@ -8,7 +8,6 @@ use lxr_heap::{
 use lxr_object::{ClaimResult, ObjectModel, ObjectReference};
 use lxr_runtime::{Collection, PlanContext, WorkCounter, WorkerPool};
 use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -107,8 +106,6 @@ pub struct TraceState {
     /// Per-line marks (line is live if non-zero); doubles as the allocator's
     /// occupancy oracle.
     pub line_marks: Arc<LineMarks>,
-    /// Blocks currently sitting in the recycled queue (never queue twice).
-    pub queued_for_reuse: Mutex<HashSet<usize>>,
     /// Live words observed by the most recent trace.
     pub live_words: AtomicUsize,
 }
@@ -153,7 +150,6 @@ impl TraceState {
             geometry,
             marks: SideMetadata::new(geometry.num_words(), GRANULE_WORDS, 1),
             line_marks: Arc::new(LineMarks::new(&geometry)),
-            queued_for_reuse: Mutex::new(HashSet::new()),
             live_words: AtomicUsize::new(0),
             space,
         }
@@ -294,12 +290,12 @@ impl TraceState {
     ) -> usize {
         let mut freed = 0;
         for (block, block_state) in self.space.block_states().iter() {
-            if block.index() == 0 || matches!(block_state, BlockState::Free | BlockState::Los) {
+            // A `Reusable` block still sits in the recycled queue: leave it
+            // there rather than also releasing it to the clean list.
+            if block.index() == 0
+                || matches!(block_state, BlockState::Free | BlockState::Los | BlockState::Reusable)
+            {
                 continue;
-            }
-            if block_state == BlockState::Recycled {
-                // Acquired from the recycled queue since the last sweep.
-                self.queued_for_reuse.lock().remove(&block.index());
             }
             // One SWAR pass over the mark bitmap answers both "any line
             // marked" and "any line free" for the block.
@@ -307,21 +303,12 @@ impl TraceState {
                 .line_marks
                 .count_marked(self.geometry.first_line_of(block), self.geometry.lines_per_block());
             if marked > 0 {
-                let has_free_line = marked < self.geometry.lines_per_block();
-                self.space.block_states().set(block, BlockState::Mature);
-                if has_free_line {
-                    let mut queued = self.queued_for_reuse.lock();
-                    if queued.insert(block.index()) {
-                        self.blocks.release_recycled_block(block);
-                        stats.add(WorkCounter::BlocksRecycled, 1);
-                    }
+                if marked == self.geometry.lines_per_block() {
+                    self.space.block_states().set(block, BlockState::Mature);
+                } else if self.blocks.release_recycled_block(block) {
+                    stats.add(WorkCounter::BlocksRecycled, 1);
                 }
             } else {
-                if self.queued_for_reuse.lock().contains(&block.index()) {
-                    // Still sitting in the recycled queue: leave it there
-                    // rather than also releasing it to the clean list.
-                    continue;
-                }
                 self.release_free_block(block);
                 on_release(block);
                 stats.add(WorkCounter::MatureBlocksFreed, 1);

@@ -346,7 +346,6 @@ impl Plan for ConcurrentCopyPlan {
                 while let Some(block) = state.trace.blocks.acquire_recycled_block() {
                     state.trace.space.block_states().set(block, BlockState::Mature);
                 }
-                state.trace.queued_for_reuse.lock().clear();
                 state.trace.clear_marks();
                 state.log_table.arm_all();
                 for root in collection.roots.collect_roots() {
@@ -433,10 +432,8 @@ impl Plan for ConcurrentCopyPlan {
                             log_table.clear_range(geometry.block_start(block), geometry.words_per_block());
                             collection.stats.add(WorkCounter::MatureBlocksFreed, 1);
                         } else if live < geometry.lines_per_block()
-                            && state.trace.queued_for_reuse.lock().insert(block.index())
+                            && state.trace.blocks.release_recycled_block(block)
                         {
-                            state.trace.space.block_states().set(block, BlockState::Mature);
-                            state.trace.blocks.release_recycled_block(block);
                             collection.stats.add(WorkCounter::BlocksRecycled, 1);
                         }
                     }

@@ -177,7 +177,6 @@ impl GenerationalPlan {
                     .count_marked(geometry.first_line_of(block), geometry.lines_per_block());
                 queued.push((block, marked));
             }
-            self.state.queued_for_reuse.lock().clear();
             queued.sort_by_key(|&(_, marked)| marked);
             let evacuate = queued.len() / 2;
             for (i, &(block, _)) in queued.iter().enumerate() {
@@ -186,10 +185,7 @@ impl GenerationalPlan {
                     candidates.push(block);
                 } else {
                     // The denser half is the target pool for the copies.
-                    self.state.space.block_states().set(block, BlockState::Mature);
-                    if self.state.queued_for_reuse.lock().insert(block.index()) {
-                        self.state.blocks.release_recycled_block(block);
-                    }
+                    self.state.blocks.release_recycled_block(block);
                 }
             }
         }

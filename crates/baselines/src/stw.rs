@@ -144,7 +144,6 @@ impl Plan for MarkRegionPlan {
             // queue; the trace will copy everything out of those blocks and
             // the sweep will free them.
             while self.state.blocks.acquire_recycled_block().is_some() {}
-            self.state.queued_for_reuse.lock().clear();
             Some(CopyConfig { copy_all: true, occupancy: self.state.line_marks.clone(), bounded: false })
         } else {
             None

@@ -77,7 +77,7 @@
 //! in-pause trace through it too.
 
 use crate::state::LxrState;
-use lxr_heap::Block;
+use lxr_heap::{Block, BlockState};
 use lxr_object::ObjectReference;
 use lxr_rc::Stamped;
 use lxr_runtime::{ConcurrentWork, Watchdog, WorkCounter, WorkerPool, YieldCheck};
@@ -320,26 +320,26 @@ pub(crate) fn process_decrement_chunk(
 /// finding the candidates is one SWAR set-bit scan; releases are batched
 /// so the allocator's central lock is taken at most once.
 ///
+/// Only `Mature` blocks are released: a `Reusable` block still sits on the
+/// recycled list, an allocator may be filling a `Recycled` one, and an
+/// `EvacCandidate` is released by its evacuation.  The pause sweeps every
+/// dirtied block this leaves behind.
+///
 /// Runs on exactly one crew worker: the last to leave a fully drained
 /// decrement phase.
 fn lazy_reclaim(state: &Arc<LxrState>) {
     let mut fully_free: Vec<Block> = Vec::new();
-    {
-        let queued = state.queued_for_reuse.lock();
-        state.for_each_dirtied_block(|block| {
-            // Blocks still sitting in the recycled queue must not also be
-            // released to the clean list.
-            if !queued.contains(&block.index()) && state.rc.block_is_free(block) {
-                fully_free.push(block);
-            }
-        });
-    }
+    state.for_each_dirtied_block(|block| {
+        if state.space.block_states().get(block) == BlockState::Mature && state.rc.block_is_free(block) {
+            fully_free.push(block);
+        }
+    });
     for &block in &fully_free {
         state.clear_block_dirtied(block);
         state.stats.add(WorkCounter::MatureBlocksFreed, 1);
         state.prepare_block_release(block);
     }
-    state.finish_block_releases(&fully_free);
+    state.blocks.release_free_blocks(&fully_free);
 }
 
 /// Visits one gray object: skip if dead or already marked, otherwise mark
@@ -560,7 +560,7 @@ pub fn trace_satb_crew_watched(
 mod tests {
     use super::*;
     use crate::config::LxrConfig;
-    use lxr_heap::{BlockAllocator, BlockState, HeapConfig, HeapSpace, LargeObjectSpace};
+    use lxr_heap::{BlockAllocator, HeapConfig, HeapSpace, LargeObjectSpace};
     use lxr_object::ObjectShape;
     use lxr_runtime::{PlanContext, RuntimeOptions};
     use std::sync::atomic::AtomicUsize;
@@ -606,5 +606,30 @@ mod tests {
             let expected = if k < remainder.len() { 2 } else { 1 };
             assert_eq!(s.rc.count(dec.value), expected, "entry {k}");
         }
+    }
+
+    #[test]
+    fn lazy_reclaim_leaves_evacuation_candidates_to_their_evacuation() {
+        let s = state();
+        let block = s.blocks.acquire_clean_block().unwrap();
+        s.space.block_states().set(block, BlockState::EvacCandidate);
+        s.mark_block_dirtied(block);
+        let free_before = s.blocks.free_block_count();
+        lazy_reclaim(&s);
+        assert_eq!(s.space.block_states().get(block), BlockState::EvacCandidate);
+        assert_eq!(s.blocks.free_block_count(), free_before, "the candidate was not released");
+    }
+
+    #[test]
+    fn lazy_reclaim_leaves_a_recycled_block_to_its_allocator() {
+        let s = state();
+        let block = s.blocks.acquire_clean_block().unwrap();
+        s.queue_for_reuse(block);
+        assert_eq!(s.blocks.acquire_recycled_block(), Some(block));
+        s.mark_block_dirtied(block);
+        let free_before = s.blocks.free_block_count();
+        lazy_reclaim(&s);
+        assert_eq!(s.space.block_states().get(block), BlockState::Recycled);
+        assert_eq!(s.blocks.free_block_count(), free_before);
     }
 }

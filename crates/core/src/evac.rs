@@ -35,16 +35,16 @@ const MAX_EVAC_BLOCKS: usize = 64;
 /// pause-time cost of this step on huge heaps.  Membership in the set is
 /// what matters downstream — the set is unordered — so no sort is needed.
 pub(crate) fn select_candidates(state: &Arc<LxrState>) {
-    let queued = state.queued_for_reuse.lock();
+    // `Mature` only: a `Reusable` block sits on the recycled list, where an
+    // allocator may take it while the trace runs.
     let mut candidates: Vec<(Block, f64)> = state
         .space
         .block_states()
         .iter()
-        .filter(|(block, s)| *s == BlockState::Mature && !queued.contains(&block.index()))
+        .filter(|(_, s)| *s == BlockState::Mature)
         .map(|(block, _)| (block, state.block_occupancy(block)))
         .filter(|(_, occ)| *occ > 0.0 && *occ < EVAC_OCCUPANCY_THRESHOLD)
         .collect();
-    drop(queued);
     if candidates.len() > MAX_EVAC_BLOCKS {
         candidates.select_nth_unstable_by(MAX_EVAC_BLOCKS, |a, b| {
             a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)

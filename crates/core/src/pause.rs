@@ -41,16 +41,13 @@
 //!   concurrent crew's steady state (decrements ∥ tracing ∥ lazy block
 //!   release): gray entries are re-validated at every pop, and released
 //!   lines get bumped reuse epochs.
-//! * **The sweep graph** (step 8): read-only block `census` chunks feed
-//!   per-chunk `release` items (free-list and reuse-queue mutations),
-//!   which the pool applies as they arrive instead of in one
-//!   single-threaded flush; chunks hold disjoint blocks, so release items
-//!   commute.  The young-LOS sweep chunks its candidate list across the
-//!   pool as a one-bucket graph.
 //!
-//! The increment phase and the in-pause decrement phase are one-bucket
-//! graphs too (a flat fan-out is the degenerate graph) whose items are
-//! **packets**, not single objects: each packet is a worker's local LIFO
+//! The increment phase, the in-pause decrement phase and the sweeps are
+//! one-bucket graphs (a flat fan-out is the degenerate graph) whose items
+//! are **packets**, not single objects.  A sweep packet is a run of
+//! disjoint blocks (or young large objects) that one worker sweeps start
+//! to finish with the same routine the one-thread sweep uses, so packets
+//! commute.  An increment or decrement packet is a worker's local LIFO
 //! stack, recursive work stays on it, and only a stack that reaches
 //! `DEC_OFFLOAD_AT` (512) hands half back to its own bucket through
 //! [`BucketHandle::push`](lxr_runtime::BucketHandle::push) for idle
@@ -94,7 +91,7 @@ use crate::state::LxrState;
 use lxr_heap::{Address, Block, BlockState, ImmixAllocator, LineOccupancy, GRANULE_WORDS};
 use lxr_object::{ClaimResult, ObjectReference};
 use lxr_rc::Stamped;
-use lxr_runtime::{Collection, GcReason, GcStats, WorkCounter, WorkerPool};
+use lxr_runtime::{Collection, GcReason, WorkCounter, WorkerPool};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -194,7 +191,7 @@ fn process_early_item(
             for &block in &deferred {
                 state.prepare_block_release(block);
             }
-            state.finish_block_releases(&deferred);
+            state.blocks.release_free_blocks(&deferred);
         }
         EarlyItem::BarrierDrain => {
             // Exclusive-consumer drains: mutators are stopped at the
@@ -535,7 +532,7 @@ pub(crate) fn rc_pause(state: &Arc<LxrState>, c: &Collection<'_>) {
         .into_iter()
         .filter(|(b, _)| !defer.contains(&b.index()))
         .collect();
-    sweep_blocks(state, c.workers, c.stats, sweep_set);
+    sweep_blocks(state, c.workers, sweep_set);
     sweep_young_los(state, c.workers);
     *state.satb_swept_deferred.lock() = satb_swept_blocks;
 
@@ -802,202 +799,83 @@ fn collect_sweep_set(state: &Arc<LxrState>, satb_swept: &[Block]) -> Vec<(Block,
         .collect()
 }
 
-/// One census chunk's buffered sweep outcomes.  Block censuses are
-/// read-only, so the scan itself needs no synchronisation; the mutations
-/// that touch global locks (free list, reuse queue) are batched here and
-/// applied by a `sweep: release` bucket item, avoiding lock ping-pong
-/// block-by-block.  Chunks hold disjoint blocks, so outcome items commute
-/// and can be applied by any worker in any order.
-#[derive(Default)]
-struct SweepOutcome {
-    /// Fully free blocks with their pre-sweep state (for the stats split).
-    /// Their metadata was already cleared by the census step.
-    release: Vec<(Block, BlockState)>,
-    /// Blocks with free lines, to queue for line reuse.
-    recycle: Vec<Block>,
-    /// Previously `Recycled` blocks whose reuse-queue membership lapsed.
-    unqueue: Vec<usize>,
-}
-
-/// One work item of the sweep bucket graph.
-enum SweepItem {
-    /// A chunk of blocks to census (`sweep: census`).
-    Census(Vec<(Block, BlockState)>),
-    /// One census chunk's buffered mutations (`sweep: release`).
-    Flush(Box<SweepOutcome>),
-}
-
-/// Blocks per parallel sweep work item.
-const SWEEP_CHUNK_MIN: usize = 8;
-
-/// Sweeps the given blocks in parallel over the worker pool: completely
-/// free blocks are released, blocks with free lines are queued for reuse,
-/// and everything else becomes mature.
+/// Sweeps the given blocks over the worker pool: completely free blocks
+/// are released, blocks with free lines are queued for reuse, and
+/// everything else becomes mature.
 ///
-/// Each block is summarised by one `RcTable::block_summary` — a single
-/// allocation-free, word-at-a-time pass over the packed count table.  The
-/// sweep runs as a two-bucket graph: `sweep: census` chunks the set across
-/// the workers ([`RcTable::summarize_blocks`](lxr_rc::RcTable::summarize_blocks)),
-/// clearing per-block metadata inside the phase (blocks are disjoint) and
-/// pushing each chunk's buffered free-list and reuse-queue mutations as a
-/// `SweepItem::Flush` item into `sweep: release`, which the pool applies
-/// batched (one lock take per chunk) once the census drains — the old
-/// single-threaded flush loop, parallelised.
+/// The set is cut into [`packets`](crate::concurrent::packets), each
+/// swept by [`sweep_blocks_sequential`] as one item of a one-bucket graph;
+/// packets hold disjoint blocks, so they commute.  A set that fits in one
+/// packet is swept on this thread.
 ///
 /// Public (with [`sweep_blocks_sequential`]) for the determinism tests and
 /// the `pause_phases` benchmark.
-pub fn sweep_blocks(
-    state: &Arc<LxrState>,
-    workers: &WorkerPool,
-    stats: &GcStats,
-    sweep_set: Vec<(Block, BlockState)>,
-) {
-    if sweep_set.len() < 2 * SWEEP_CHUNK_MIN {
-        // A sweep set this small fits in a couple of work items; skip the
-        // phase setup and run the (outcome-identical) sequential reference.
-        return sweep_blocks_sequential(state, stats, sweep_set);
+pub fn sweep_blocks(state: &Arc<LxrState>, workers: &WorkerPool, sweep_set: Vec<(Block, BlockState)>) {
+    let mut packets = crate::concurrent::packets(&sweep_set, workers.size() + 1);
+    if packets.len() <= 1 {
+        return sweep_blocks_sequential(state, packets.pop().unwrap_or_default());
     }
-    let participants = workers.size() + 1;
-    // Reuse-queue membership is only read during the census; mutations are
-    // buffered, so one snapshot up front replaces a lock per block.
-    let queued_snapshot: Arc<HashSet<usize>> = Arc::new(state.queued_for_reuse.lock().clone());
-    let chunk_len = sweep_set.len().div_ceil(participants * 4).max(SWEEP_CHUNK_MIN);
-    let chunks: Vec<SweepItem> =
-        sweep_set.chunks(chunk_len).map(|ch| SweepItem::Census(ch.to_vec())).collect();
-    let mut graph = lxr_runtime::BucketGraph::new();
-    let census = graph.bucket("sweep: census", &[], chunks);
-    let release_bucket = graph.bucket("sweep: release", &[census], Vec::new());
     let state = state.clone();
-    // Counter updates go through the state's stats handle (the same store
-    // `stats` points at); the borrow itself cannot cross into the phase.
-    debug_assert!(std::ptr::eq(stats, &*state.stats));
-    workers.run_bucket_graph("pause: block sweep", graph, move |_bucket, item, handle| match item {
-        SweepItem::Census(chunk) => {
-            let mut out = SweepOutcome::default();
-            state.rc.summarize_blocks(chunk, |block, prior, live, free_lines| {
-                if prior == BlockState::Recycled {
-                    // The block was taken off the recycled queue by an
-                    // allocator since the last pause; it is eligible to be
-                    // queued again.
-                    out.unqueue.push(block.index());
-                }
-                let still_queued = prior != BlockState::Recycled && queued_snapshot.contains(&block.index());
-                if live == 0 {
-                    if still_queued {
-                        // The block still sits in the recycled queue;
-                        // releasing it to the clean list as well would hand
-                        // it out twice.  Leave it queued — all of its lines
-                        // are free, so reuse is fine.
-                        return;
-                    }
-                    state.prepare_block_release(block);
-                    out.release.push((block, prior));
-                    return;
-                }
-                if matches!(prior, BlockState::EvacCandidate) {
-                    return;
-                }
-                if free_lines > 0 {
-                    out.recycle.push(block);
-                } else {
-                    state.space.block_states().set(block, BlockState::Mature);
-                }
-            });
-            handle.push(release_bucket, SweepItem::Flush(Box::new(out)));
-        }
-        SweepItem::Flush(out) => {
-            // Apply one chunk's buffered mutations, batched: each global
-            // lock is taken once per chunk, not once per block.  A block's
-            // unqueue precedes its own release/requeue (same chunk, same
-            // item); across items the block sets are disjoint, so the
-            // release-queue and reuse-queue updates commute.
-            {
-                let mut queued = state.queued_for_reuse.lock();
-                for idx in &out.unqueue {
-                    queued.remove(idx);
-                }
-            }
-            for &(_, prior) in &out.release {
-                match prior {
-                    BlockState::Young => state.stats.add(WorkCounter::YoungBlocksFreed, 1),
-                    _ => state.stats.add(WorkCounter::MatureBlocksFreed, 1),
-                }
-            }
-            let release: Vec<Block> = out.release.iter().map(|&(b, _)| b).collect();
-            state.finish_block_releases(&release);
-            for block in out.recycle {
-                state.queue_for_reuse(block);
-            }
-        }
+    let mut graph = lxr_runtime::BucketGraph::new();
+    graph.bucket("sweep", &[], packets);
+    workers.run_bucket_graph("pause: block sweep", graph, move |_bucket, packet, _handle| {
+        sweep_blocks_sequential(&state, packet);
     });
 }
 
-/// The sequential block sweep: the production path for sweep sets under
-/// 16 blocks (`2 * SWEEP_CHUNK_MIN`, see [`sweep_blocks`]), the determinism
-/// oracle for the parallel sweep, and the baseline in the `pause_phases`
-/// benchmark.  Must produce the same block-state, free-list and
-/// reuse-queue outcome as the parallel sweep.
-pub fn sweep_blocks_sequential(state: &Arc<LxrState>, stats: &GcStats, sweep_set: Vec<(Block, BlockState)>) {
+/// The block sweep's one per-block routine: one
+/// [`block_summary`](lxr_rc::RcTable::block_summary) census per block, the
+/// free blocks released in one
+/// [`release_free_blocks`](lxr_heap::BlockAllocator::release_free_blocks)
+/// batch, blocks with free lines queued for reuse, full blocks marked
+/// `Mature`.  `Reusable` blocks are skipped: they are still on the recycled
+/// list, and releasing one to the clean list as well would hand it out
+/// twice.  [`sweep_blocks`] runs this once per packet; the `pause_phases`
+/// benchmark runs it on the whole set as the one-thread baseline.
+pub fn sweep_blocks_sequential(state: &Arc<LxrState>, sweep_set: Vec<(Block, BlockState)>) {
+    let mut free = Vec::new();
     for (block, prior_state) in sweep_set {
-        if prior_state == BlockState::Recycled {
-            // The block was taken off the recycled queue by an allocator
-            // since the last pause; it is eligible to be queued again.
-            state.queued_for_reuse.lock().remove(&block.index());
+        if prior_state == BlockState::Reusable {
+            continue;
         }
         let (live_granules, free_lines) = state.rc.block_summary(block);
         if live_granules == 0 {
-            if state.queued_for_reuse.lock().contains(&block.index()) {
-                // The block still sits in the recycled queue; releasing it to
-                // the clean list as well would hand it out twice.  Leave it
-                // queued — all of its lines are free, so reuse is fine.
-                continue;
-            }
             match prior_state {
-                BlockState::Young => stats.add(WorkCounter::YoungBlocksFreed, 1),
-                _ => stats.add(WorkCounter::MatureBlocksFreed, 1),
+                BlockState::Young => state.stats.add(WorkCounter::YoungBlocksFreed, 1),
+                _ => state.stats.add(WorkCounter::MatureBlocksFreed, 1),
             }
-            state.release_free_block(block);
+            state.prepare_block_release(block);
+            free.push(block);
+        } else if prior_state == BlockState::EvacCandidate {
             continue;
-        }
-        if matches!(prior_state, BlockState::EvacCandidate) {
-            continue;
-        }
-        if free_lines > 0 {
+        } else if free_lines > 0 {
             state.queue_for_reuse(block);
         } else {
             state.space.block_states().set(block, BlockState::Mature);
         }
     }
+    state.blocks.release_free_blocks(&free);
 }
 
-/// Young-LOS candidates per parallel work item.
-const LOS_CHUNK_MIN: usize = 16;
-/// Below this many candidates the fan-out overhead is not worth it.
-const LOS_MIN_PARALLEL: usize = 64;
-
 /// Reclaims large objects allocated since the last pause that never received
-/// an increment (implicit death for the large object space).  Large lists
-/// are chunked across the worker pool: the liveness checks are atomic reads
-/// and only actual frees take the LOS lock.
+/// an increment (implicit death for the large object space).  The list is
+/// cut into packets across the worker pool: the liveness checks are atomic
+/// reads and only actual frees take the LOS lock.  A list that fits in one
+/// packet is checked on this thread.
 fn sweep_young_los(state: &Arc<LxrState>, workers: &WorkerPool) {
     let young: Vec<Address> = state.young_los.lock().drain(..).collect();
-    if young.is_empty() {
-        return;
-    }
-    if young.len() < LOS_MIN_PARALLEL {
-        for addr in young {
+    let mut packets = crate::concurrent::packets(&young, workers.size() + 1);
+    if packets.len() <= 1 {
+        for addr in packets.pop().unwrap_or_default() {
             free_young_los_if_dead(state, addr);
         }
         return;
     }
-    let participants = workers.size() + 1;
-    let chunk_len = young.len().div_ceil(participants * 2).max(LOS_CHUNK_MIN);
-    let chunks: Vec<Vec<Address>> = young.chunks(chunk_len).map(<[_]>::to_vec).collect();
     let state = state.clone();
     let mut graph = lxr_runtime::BucketGraph::new();
-    graph.bucket("young-los", &[], chunks);
-    workers.run_bucket_graph("pause: young-los sweep", graph, move |_bucket, chunk, _handle| {
-        for addr in chunk {
+    graph.bucket("young-los", &[], packets);
+    workers.run_bucket_graph("pause: young-los sweep", graph, move |_bucket, packet, _handle| {
+        for addr in packet {
             free_young_los_if_dead(&state, addr);
         }
     });
@@ -1029,8 +907,8 @@ mod tests {
     }
 
     /// Deterministically populates `state` with a mix of sweep scenarios and
-    /// returns the sweep set: fully free Young blocks, fully free Recycled
-    /// blocks (queued and unqueued), live blocks with and without free
+    /// returns the sweep set: fully free Young blocks, fully free queued
+    /// (Reusable) and unqueued (Recycled) blocks, live blocks with and without free
     /// lines, and a fully dense block.
     fn populate(state: &Arc<LxrState>) -> Vec<(Block, BlockState)> {
         let g = state.geometry;
@@ -1050,13 +928,11 @@ mod tests {
                     state.space.block_states().set(block, BlockState::Young);
                 }
                 1 => {
-                    // Fully free block still (or no longer) in the reuse
-                    // queue.
-                    state.space.block_states().set(block, BlockState::Recycled);
+                    // Fully free block still in the reuse queue (Reusable)
+                    // or taken off it by an allocator (Recycled).
                     if step() % 2 == 0 {
                         state.queue_for_reuse(block);
-                        // queue_for_reuse sets the state to Mature; restore
-                        // the "allocator took it" look for half of them.
+                    } else {
                         state.space.block_states().set(block, BlockState::Recycled);
                     }
                 }
@@ -1096,11 +972,11 @@ mod tests {
         sweep
     }
 
-    fn snapshot(state: &Arc<LxrState>) -> (Vec<u8>, usize, usize, Vec<usize>) {
+    /// Block states (which include reuse-queue membership), free and
+    /// recycled block counts.
+    fn snapshot(state: &Arc<LxrState>) -> (Vec<u8>, usize, usize) {
         let states: Vec<u8> = state.space.block_states().iter().map(|(_, s)| s as u8).collect();
-        let mut queued: Vec<usize> = state.queued_for_reuse.lock().iter().copied().collect();
-        queued.sort_unstable();
-        (states, state.blocks.free_block_count(), state.blocks.recycled_block_count(), queued)
+        (states, state.blocks.free_block_count(), state.blocks.recycled_block_count())
     }
 
     #[test]
@@ -1116,8 +992,8 @@ mod tests {
             "identical deterministic setup"
         );
 
-        sweep_blocks_sequential(&seq, &seq.stats, sweep_seq);
-        sweep_blocks(&par, &pool, &par.stats, sweep_par);
+        sweep_blocks_sequential(&seq, sweep_seq);
+        sweep_blocks(&par, &pool, sweep_par);
 
         assert_eq!(snapshot(&seq), snapshot(&par), "block states, free lists and reuse queues agree");
         for counter in
@@ -1135,9 +1011,8 @@ mod tests {
         let s = state();
         let g = s.geometry;
         let mut sweep = Vec::new();
-        // Enough blocks to stay above the parallel sweep's sequential
-        // fallback threshold.
-        for bi in 2..26usize {
+        // Enough blocks to span more than one packet.
+        for bi in 2..50usize {
             let block = Block::from_index(bi);
             for line in 0..g.lines_per_block() {
                 s.rc.increment(ObjectReference::from_address(
@@ -1147,12 +1022,12 @@ mod tests {
             s.space.block_states().set(block, BlockState::Young);
             sweep.push((block, BlockState::Young));
         }
-        sweep_blocks(&s, &pool, &s.stats, sweep.clone());
+        sweep_blocks(&s, &pool, sweep.clone());
         for &(block, _) in &sweep {
             assert_eq!(s.space.block_states().get(block), BlockState::Mature);
         }
         let before = snapshot(&s);
-        sweep_blocks(&s, &pool, &s.stats, sweep.into_iter().map(|(b, _)| (b, BlockState::Mature)).collect());
+        sweep_blocks(&s, &pool, sweep.into_iter().map(|(b, _)| (b, BlockState::Mature)).collect());
         assert_eq!(snapshot(&s), before);
     }
 }

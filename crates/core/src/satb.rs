@@ -179,7 +179,10 @@ pub(crate) fn reclaim(state: &Arc<LxrState>, c: &Collection<'_>) -> Vec<Block> {
     let geometry = state.geometry;
     let mut touched = Vec::new();
     for (block, block_state) in state.space.block_states().iter() {
-        if !matches!(block_state, BlockState::Mature | BlockState::Recycled | BlockState::EvacCandidate) {
+        if !matches!(
+            block_state,
+            BlockState::Mature | BlockState::Reusable | BlockState::Recycled | BlockState::EvacCandidate
+        ) {
             continue;
         }
         let start = geometry.block_start(block);

@@ -142,9 +142,6 @@ pub struct LxrState {
     /// resolve references to the reclaimed granules, so their headers must
     /// not be reused until the next pause's catch-up has drained them.
     pub satb_swept_deferred: Mutex<Vec<Block>>,
-    /// Blocks currently sitting in the recycled queue (by index), so the
-    /// pause never queues a block twice.
-    pub queued_for_reuse: Mutex<HashSet<usize>>,
 
     // ---- sticky (generational) trace state ----
     /// The sticky remembered set: slots whose fields were modified (and so
@@ -233,7 +230,6 @@ impl LxrState {
             remset_logged: SideMetadata::new(geometry.num_words(), 1, 1),
             deferred_free_blocks: Mutex::new(Vec::new()),
             satb_swept_deferred: Mutex::new(Vec::new()),
-            queued_for_reuse: Mutex::new(HashSet::new()),
             sticky_slots: SegQueue::new(),
             sticky_logged: SideMetadata::new(geometry.num_words(), 1, 1),
             current_trace_full: AtomicBool::new(false),
@@ -522,16 +518,15 @@ impl LxrState {
     /// clearing its collector metadata and bumping its line reuse counters.
     pub fn release_free_block(&self, block: Block) {
         self.prepare_block_release(block);
-        self.finish_block_release(block);
+        self.blocks.release_free_block(block);
     }
 
     /// The thread-safe half of a block release: clears the block's
     /// collector metadata and bumps its line reuse counters.  Blocks are
-    /// disjoint, so the parallel sweep runs this fan-out on the worker
-    /// pool; the lock-touching [`finish_block_release`] half is buffered
-    /// per worker and flushed once.
-    ///
-    /// [`finish_block_release`]: Self::finish_block_release
+    /// disjoint, so sweep packets run this on the worker pool and hand the
+    /// blocks to the allocator's batched
+    /// [`release_free_blocks`](lxr_heap::BlockAllocator::release_free_blocks)
+    /// afterwards.
     pub fn prepare_block_release(&self, block: Block) {
         debug_assert!(self.rc.block_is_free(block), "releasing a block with live counts");
         let start = self.geometry.block_start(block);
@@ -545,31 +540,6 @@ impl LxrState {
         self.remset_logged.clear_range(start, words);
         self.sticky_logged.clear_range(start, words);
         self.space.bump_block_reuse(block);
-    }
-
-    /// The serialising half of a block release: dequeues the block from the
-    /// reuse set and pushes it onto the global free list.  Must follow
-    /// [`prepare_block_release`](Self::prepare_block_release).
-    pub fn finish_block_release(&self, block: Block) {
-        self.queued_for_reuse.lock().remove(&block.index());
-        self.blocks.release_free_block(block);
-    }
-
-    /// Batched [`finish_block_release`](Self::finish_block_release): the
-    /// reuse-queue lock is taken once for the whole batch and the blocks
-    /// are handed to the allocator's batch release, which takes its central
-    /// lock at most once instead of once per buffer-overflowing block.
-    pub fn finish_block_releases(&self, blocks: &[Block]) {
-        if blocks.is_empty() {
-            return;
-        }
-        {
-            let mut queued = self.queued_for_reuse.lock();
-            for block in blocks {
-                queued.remove(&block.index());
-            }
-        }
-        self.blocks.release_free_blocks(blocks);
     }
 
     /// Frees the large object at `addr` if one is live there, clearing the
@@ -594,13 +564,10 @@ impl LxrState {
         self.los.try_free(addr).is_some()
     }
 
-    /// Queues a partially free block for line reuse, unless it is already
-    /// queued.
+    /// Queues a partially free block for line reuse (its state becomes
+    /// [`BlockState::Reusable`]), unless it is already queued.
     pub fn queue_for_reuse(&self, block: Block) {
-        let mut queued = self.queued_for_reuse.lock();
-        if queued.insert(block.index()) {
-            self.space.block_states().set(block, BlockState::Mature);
-            self.blocks.release_recycled_block(block);
+        if self.blocks.release_recycled_block(block) {
             self.stats.add(WorkCounter::BlocksRecycled, 1);
         }
     }

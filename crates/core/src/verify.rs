@@ -22,6 +22,10 @@
 //!   counts and no stale side metadata — SATB marks, field-log states or
 //!   remset dedup bits leaking into a block's next life were the corruption
 //!   class PR 4's reuse epochs closed, and the verifier pins the clears.
+//! * **Recycled-list membership.**  The number of `Reusable` blocks equals
+//!   the allocator's recycled-list length: only the allocator moves a block
+//!   into or out of that state, so a mismatch means a block left the list
+//!   behind the allocator's back (or was queued twice).
 //! * **Mark-bit lifecycle.**  Outside an active trace every SATB mark bit
 //!   is clear ([`LxrState::clear_marks`] at reclamation); stray marks would
 //!   exempt garbage from the next trace's sweep.  Under sticky tracing
@@ -152,6 +156,17 @@ pub fn verify(state: &Arc<LxrState>, roots: &RootSet) -> VerifyReport {
                 block.index()
             ));
         }
+    }
+
+    // 3a. Recycled-list membership: the allocator marks exactly the blocks
+    //     on its recycled list `Reusable`, so the two counts agree.
+    let reusable = state.space.block_states().count(BlockState::Reusable);
+    let queued = state.blocks.recycled_block_count();
+    if reusable != queued {
+        report.error(format!(
+            "{reusable} blocks are Reusable but the recycled list holds {queued} \
+             (a block left the list without the allocator, or was queued twice)"
+        ));
     }
 
     // 3b. Released-chunk hygiene: a chunk notionally returned to the OS
@@ -386,6 +401,21 @@ mod tests {
         s.rc.mark_straddle_lines(big, ObjectShape::new(0, 200, 0).size_words());
         let report = verify(&s, &roots_of(&[big]));
         assert!(report.ok(), "{report}");
+    }
+
+    #[test]
+    fn reusable_blocks_must_match_the_recycled_list() {
+        let s = state();
+        let block = s.blocks.acquire_clean_block().unwrap();
+        s.queue_for_reuse(block);
+        assert!(verify(&s, &roots_of(&[])).ok());
+        // A state write behind the allocator's back breaks the agreement.
+        s.space.block_states().set(lxr_heap::Block::from_index(9), BlockState::Reusable);
+        let report = verify(&s, &roots_of(&[]));
+        assert!(
+            format!("{report}").contains("2 blocks are Reusable but the recycled list holds 1"),
+            "{report}"
+        );
     }
 
     #[test]

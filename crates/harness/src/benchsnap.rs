@@ -6,8 +6,8 @@
 //! (`BENCH_sched.json` by default) that can be committed next to the code
 //! and diffed across PRs:
 //!
-//! * `pause_phases/sweep_blocks_*` — the block sweep, sequential oracle vs
-//!   the bucket-graph census→release pipeline at 1/2/4/8 workers;
+//! * `pause_phases/sweep_blocks_*` — the block sweep's one routine on one
+//!   thread vs the same routine run per packet at 1/2/4/8 workers;
 //! * `pause_phases/increment_tree_*` — the scheduler's per-item cost: a
 //!   transitive tree of single-item pushes through a one-bucket graph at
 //!   1/2/4/8 workers (the pause's own phases move their work in packets,
@@ -256,7 +256,7 @@ fn bench_sweep(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     let group = format!("pause_phases/sweep_blocks_{}", cfg.sweep_blocks);
 
     let wall = time_iters(cfg.warmup, cfg.iters, || {
-        sweep_blocks_sequential(&state, &state.stats, black_box(sweep_set.clone()));
+        sweep_blocks_sequential(&state, black_box(sweep_set.clone()));
     });
     out.push(BenchRecord {
         id: format!("{group}/sequential"),
@@ -270,13 +270,13 @@ fn bench_sweep(cfg: &SnapshotConfig, out: &mut Vec<BenchRecord>) {
     for workers in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(workers);
         for _ in 0..cfg.warmup {
-            sweep_blocks(&state, &pool, &state.stats, black_box(sweep_set.clone()));
+            sweep_blocks(&state, &pool, black_box(sweep_set.clone()));
         }
         // Counter baseline taken after warm-up so the totals cover exactly
         // the measured iterations.
         let before = pool.sched_totals();
         let wall = time_iters(0, cfg.iters, || {
-            sweep_blocks(&state, &pool, &state.stats, black_box(sweep_set.clone()));
+            sweep_blocks(&state, &pool, black_box(sweep_set.clone()));
         });
         let counters = sched_delta(pool.sched_totals(), before);
         out.push(BenchRecord {

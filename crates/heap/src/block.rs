@@ -44,6 +44,10 @@ impl fmt::Debug for Block {
 ///   RC epoch, so it contains *only* objects allocated this epoch.  These are
 ///   the targets of the "all young evacuation" heuristic (§3.3.2) and of the
 ///   young sweep (§3.3.1).
+/// * `Reusable` — a mature block with free lines on the recycled-block
+///   list, not yet taken by an allocator.  This state *is* the list
+///   membership: only the [`BlockAllocator`](crate::BlockAllocator) moves
+///   a block into it (when queueing) or out of it (when handing it out).
 /// * `Recycled` — a partially-free block handed back to an allocator; it
 ///   contains a mix of mature survivors and fresh objects.
 /// * `Mature` — contains survivors of at least one collection and is not
@@ -68,6 +72,8 @@ pub enum BlockState {
     EvacCandidate = 4,
     /// Block (or run of blocks) backing a large object.
     Los = 5,
+    /// Mature block with free lines, queued on the recycled-block list.
+    Reusable = 6,
 }
 
 impl BlockState {
@@ -79,6 +85,7 @@ impl BlockState {
             3 => BlockState::Mature,
             4 => BlockState::EvacCandidate,
             5 => BlockState::Los,
+            6 => BlockState::Reusable,
             _ => unreachable!("invalid block state {v}"),
         }
     }
@@ -130,6 +137,13 @@ impl BlockStateTable {
         self.states[block.index()].store(state as u8, Ordering::Release);
     }
 
+    /// Sets the state of `block` and returns the state it replaced, in one
+    /// atomic swap.
+    #[inline]
+    pub fn replace(&self, block: Block, state: BlockState) -> BlockState {
+        BlockState::from_u8(self.states[block.index()].swap(state as u8, Ordering::AcqRel))
+    }
+
     /// Atomically transitions `block` from `from` to `to`.  Returns `true`
     /// if the transition happened (i.e. the previous state was `from`).
     #[inline]
@@ -174,11 +188,14 @@ mod tests {
             BlockState::Mature,
             BlockState::EvacCandidate,
             BlockState::Los,
+            BlockState::Reusable,
         ];
         for (i, s) in states.iter().enumerate() {
             let b = Block::from_index(i);
             t.set(b, *s);
             assert_eq!(t.get(b), *s);
+            assert_eq!(t.replace(b, BlockState::Free), *s);
+            assert_eq!(t.get(b), BlockState::Free);
         }
     }
 

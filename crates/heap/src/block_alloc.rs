@@ -7,6 +7,13 @@
 //! central free-block manager, plus an unbounded lock-free queue of recycled
 //! (partially free) blocks produced by sweeping.
 //!
+//! The allocator alone owns recycled-queue membership, and records it in
+//! the block-state table: a block is on the queue exactly while its state
+//! is [`BlockState::Reusable`].  [`BlockAllocator::release_recycled_block`]
+//! moves a block into that state (and refuses one already in it), and
+//! [`BlockAllocator::acquire_recycled_block`] moves it out, so collectors
+//! ask the state table instead of keeping a membership set of their own.
+//!
 //! The central manager also serves contiguous multi-block requests for the
 //! [`crate::LargeObjectSpace`].
 //!
@@ -215,7 +222,8 @@ impl BlockAllocator {
 
     /// Acquires one recycled (partially free) block, if any is queued.
     ///
-    /// The returned block's state is set to [`BlockState::Recycled`].
+    /// The returned block's state is set to [`BlockState::Recycled`], which
+    /// ends its queue membership.
     pub fn acquire_recycled_block(&self) -> Option<Block> {
         let block = self.recycled.pop()?;
         self.recycled_blocks.fetch_sub(1, Ordering::Relaxed);
@@ -267,12 +275,18 @@ impl BlockAllocator {
         }
     }
 
-    /// Queues a partially free block for reuse by allocators.
-    pub fn release_recycled_block(&self, block: Block) {
+    /// Queues a partially free block for reuse by allocators and sets its
+    /// state to [`BlockState::Reusable`].  Returns `false`, queueing
+    /// nothing, if the block was already `Reusable` (already queued).
+    pub fn release_recycled_block(&self, block: Block) -> bool {
         lxr_failpoints::failpoint!("heap.block-recycle");
         debug_assert!(block.index() != 0, "block 0 is reserved");
+        if self.space.block_states().replace(block, BlockState::Reusable) == BlockState::Reusable {
+            return false;
+        }
         self.recycled_blocks.fetch_add(1, Ordering::Relaxed);
         self.recycled.push(block);
+        true
     }
 
     /// Acquires `count` contiguous blocks (for a large object), returning
@@ -455,11 +469,19 @@ mod tests {
         let a = allocator(1 << 20);
         let b = a.acquire_clean_block().unwrap();
         assert!(a.acquire_recycled_block().is_none());
-        a.release_recycled_block(b);
+        assert!(a.release_recycled_block(b));
+        assert_eq!(a.space.block_states().get(b), BlockState::Reusable);
+        // Queueing a queued block is refused: it is on the list once.
+        assert!(!a.release_recycled_block(b));
         assert_eq!(a.recycled_block_count(), 1);
         let r = a.acquire_recycled_block().unwrap();
         assert_eq!(r, b);
         assert_eq!(a.space.block_states().get(r), BlockState::Recycled);
+        assert!(a.acquire_recycled_block().is_none());
+        // Once an allocator has taken it, the block can be queued again.
+        assert!(a.release_recycled_block(b));
+        assert_eq!(a.recycled_block_count(), 1);
+        assert_eq!(a.acquire_recycled_block(), Some(b));
     }
 
     #[test]

@@ -254,25 +254,6 @@ impl RcTable {
         self.counts.group_counts(start, self.geometry.words_per_block(), self.geometry.words_per_line())
     }
 
-    /// Summarises a batch of blocks — one SWAR
-    /// [`block_summary`](Self::block_summary) census each — invoking
-    /// `f(block, tag, live_granules, free_lines)` per block.  This is the
-    /// unit of work the parallel pause sweep hands to each GC worker: a
-    /// chunk of blocks per work item amortises scheduling over many block
-    /// scans, and the censuses are read-only so chunks proceed with no
-    /// synchronisation at all.  `tag` carries caller state (e.g. the
-    /// block's pre-sweep lifecycle state) through the batch.
-    pub fn summarize_blocks<X>(
-        &self,
-        blocks: impl IntoIterator<Item = (Block, X)>,
-        mut f: impl FnMut(Block, X, usize, usize),
-    ) {
-        for (block, tag) in blocks {
-            let (live, free_lines) = self.block_summary(block);
-            f(block, tag, live, free_lines);
-        }
-    }
-
     /// Returns `true` if every count in `block` is zero (the whole block is
     /// reclaimable).
     pub fn block_is_free(&self, block: Block) -> bool {
@@ -499,29 +480,6 @@ mod tests {
         assert!((census.occupancy(2048) - 3.0 / 2048.0).abs() < 1e-12);
         // The allocation-free summary agrees with the full census.
         assert_eq!(rc.block_summary(block), (census.live_granules, census.free_lines));
-    }
-
-    #[test]
-    fn summarize_blocks_matches_per_block_summaries() {
-        let rc = table();
-        let g = rc.geometry();
-        for (i, block) in [Block::from_index(2), Block::from_index(5)].into_iter().enumerate() {
-            for k in 0..=i * 3 {
-                rc.increment(obj(g.block_start(block).word_index() + k * 8));
-            }
-        }
-        let batch: Vec<(Block, usize)> =
-            (2..7).map(Block::from_index).enumerate().map(|(tag, b)| (b, tag)).collect();
-        let mut seen = Vec::new();
-        rc.summarize_blocks(batch.clone(), |block, tag, live, free| {
-            seen.push((block.index(), tag, live, free));
-        });
-        assert_eq!(seen.len(), batch.len());
-        for (idx, tag, live, free) in seen {
-            let (expect_live, expect_free) = rc.block_summary(Block::from_index(idx));
-            assert_eq!((live, free), (expect_live, expect_free), "block {idx}");
-            assert_eq!(tag, idx - 2, "tags pass through in order");
-        }
     }
 
     /// Replicates the `LineOccupancy` default (per-line probing) so the SWAR
